@@ -27,6 +27,7 @@ additional specs the same way before expanding a grid.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -159,21 +160,28 @@ _REGISTRY: Dict[str, ProgramSpec] = {}
 #: and reported — on the next query instead of leaving a silently empty
 #: registry for the rest of the process.
 _BUILTINS_STATE = "unloaded"
+#: Serializes the load: a second thread's first query waits for it to
+#: finish instead of reading a half-filled registry.  Re-entrant because
+#: the loading thread's own imports query the registry again.
+_BUILTINS_LOCK = threading.RLock()
 
 
 def _ensure_builtin_specs() -> None:
     """Import the modules that register the built-in specs (idempotent)."""
     global _BUILTINS_STATE
-    if _BUILTINS_STATE != "unloaded":
+    if _BUILTINS_STATE == "loaded":
         return
-    _BUILTINS_STATE = "loading"
-    try:
-        import repro.cds.pipeline  # noqa: F401  (registers the composite spec)
-        import repro.congest.programs  # noqa: F401  (registers simulation specs)
-    except BaseException:
-        _BUILTINS_STATE = "unloaded"
-        raise
-    _BUILTINS_STATE = "loaded"
+    with _BUILTINS_LOCK:
+        if _BUILTINS_STATE != "unloaded":
+            return  # loaded while we waited, or re-entered by the loader
+        _BUILTINS_STATE = "loading"
+        try:
+            import repro.cds.pipeline  # noqa: F401  (registers the composite spec)
+            import repro.congest.programs  # noqa: F401  (registers simulation specs)
+        except BaseException:
+            _BUILTINS_STATE = "unloaded"
+            raise
+        _BUILTINS_STATE = "loaded"
 
 
 def register_program(spec: ProgramSpec, replace: bool = False) -> ProgramSpec:

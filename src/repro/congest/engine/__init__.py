@@ -12,17 +12,18 @@ Importing this package registers the bundled engines:
 ``vector``
     Numpy message-plane loop for fixed-shape broadcast rounds — programs
     declare :class:`MessageSpec` shapes and register a
-    :class:`VectorKernel`; everything else falls back to ``fast``
-    semantics (:class:`~repro.congest.engine.vector.VectorEngine`).
+    :class:`VectorKernel`; a run executes as a one-instance stacked plane
+    and programs without a kernel fall back to ``fast``
+    (:class:`~repro.congest.engine.vector.VectorEngine`).
 
 Select an engine per run (``Simulator(..., engine="reference")``), process
 wide (:func:`set_default_engine`, the ``--engine`` CLI flags), or via the
 ``REPRO_ENGINE`` environment variable.  ``docs/engines.md`` has the guide.
 
-On top of the per-run engines, :func:`run_stacked` /
-:func:`iter_stacked` (:mod:`repro.congest.engine.batched`) execute K
-independent instances of one *stackable* program family as a single
-stacked message plane — ragged (mixed instance sizes) or uniform — the
+The vector round loop lives in :mod:`repro.congest.engine.batched`:
+:func:`run_stacked` / :func:`iter_stacked` execute K independent
+instances of one program family with a kernel as a single stacked
+message plane — ragged (mixed instance sizes) or uniform — the
 batched multi-instance mode behind the experiment runner's ``batch``
 strategy; the ``iter`` variant streams each instance's result the moment
 its termination mask flips.

@@ -22,34 +22,32 @@ Three pieces cooperate:
   arrays.  A kernel re-expresses the program's ``receive`` transition as
   scatter/gather over the :class:`CsrPlane`; program modules register their
   kernel with :func:`register_kernel`.
-* :class:`VectorEngine` — the engine.  It runs ``setup`` and any
-  non-conforming prefix of rounds through the exact
-  :class:`~repro.congest.engine.fast.FastEngine` scalar mechanics, then
-  hands the live state to the kernel at its declared ``takeover_round`` and
-  finishes the run with vectorized rounds.  Runs whose programs declare no
-  :attr:`~repro.congest.node.NodeProgram.message_specs`, have no registered
-  kernel, or queue non-broadcast traffic at the handover point fall back to
-  ``FastEngine`` semantics — the parity suite
+* :class:`VectorEngine` — the engine.  A run whose programs have a
+  registered kernel that accepts the inputs executes as a **one-instance
+  stacked plane** (:func:`repro.congest.engine.batched.run_instance`):
+  the same round loop that drives K-instance batches, booted from the
+  ``Simulator``'s own programs and contexts.  Runs whose programs declare
+  no :attr:`~repro.congest.node.NodeProgram.message_specs`, have no
+  registered kernel, or whose kernel declines the inputs run on
+  :class:`~repro.congest.engine.fast.FastEngine` — the parity suite
   (``tests/test_engine_parity.py``) proves all three engines
   observationally identical either way.
 
-In a *solo* run the handover is one-directional (scalar → vector) and
-happens at most once: fully-broadcast programs (greedy MDS, rounding
-execution, color reduction) take over at round 1, and so does the
-Lemma 3.10 loop on its canonical uniform inputs — its color-class rounds
-run *in-plane*, with the targeted ``alpha`` sends expressed as
-:class:`PendingTargeted` slot traffic and a round optionally carrying
-several differently-tagged parts at once.  On heterogeneous inputs the
-loop instead runs those rounds under scalar semantics and vectorizes the
-final execution-phase broadcasts (takeover at ``2 + 3*num_colors``; the
-takeover round is per-instance, input-dependent state).  In a *stacked* run
-(:mod:`repro.congest.engine.batched`) the boundary is crossed **per
-instance**: instances whose takeover round has not arrived keep executing
-scalar rounds against the shared global clock while already-absorbed
-instances run on the plane, and each scalar instance's traffic is folded
-into the vectorized ledger every round — the handover machinery is
-two-directional for the duration of the run.  See
-:meth:`VectorKernel.stacked_blank` / :meth:`VectorKernel.absorb_instance`.
+The round loop crosses the scalar → vector boundary **per instance**, at
+most once: ``setup`` and any rounds before the kernel's declared
+``takeover_round`` run with exact ``FastEngine`` mechanics, then the
+instance's state is handed to the kernel.  Fully-broadcast programs
+(greedy MDS, rounding execution, color reduction) take over at round 1,
+and so does the Lemma 3.10 loop on its canonical uniform inputs — its
+color-class rounds run *in-plane*, with the targeted ``alpha`` sends
+expressed as :class:`PendingTargeted` slot traffic and a round optionally
+carrying several differently-tagged parts at once.  On heterogeneous
+inputs the loop instead runs those rounds under scalar semantics and
+vectorizes the final execution-phase broadcasts (takeover at
+``2 + 3*num_colors``; see :meth:`VectorKernel.absorb_instance`).  An
+instance whose queued traffic at its takeover round is not a conforming
+broadcast is never handed over and finishes under scalar semantics
+inside the same loop.
 
 The plane itself is backend-agnostic: every :class:`CsrPlane` hot-path
 operation routes through :func:`plane_namespace`, an array-namespace seam
@@ -69,24 +67,19 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from array import array
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
 from repro.congest.engine.base import Engine, SimulationResult, register_engine
-from repro.congest.engine.fast import _EMPTY_INBOX, FastEngine, Inboxes
+from repro.congest.engine.fast import FastEngine
 from repro.congest.message import (
     FIELD_FRAMING_BITS,
     MESSAGE_HEADER_BITS,
 )
 from repro.congest.network import Network
 from repro.congest.node import Context, NodeProgram
-from repro.errors import (
-    BatchEligibilityError,
-    CongestError,
-    MessageTooLargeError,
-    SimulationLimitError,
-)
+from repro.errors import BatchEligibilityError, CongestError
 
 __all__ = [
     "CsrPlane",
@@ -446,27 +439,24 @@ class VectorKernel(ABC):
     record outputs/halts, and return the next round's outbound broadcast
     (or ``None`` for a silent round).  The engine owns accounting and
     termination; the kernel owns semantics.
+
+    Every run is a stacked run (:mod:`repro.congest.engine.batched`; a solo
+    run is a one-instance plane), so per-node transitions may consult only
+    intra-instance data: ``plane.local_n_of`` / ``plane.local_ids`` instead
+    of global ids and the global ``plane.n``.  Stacked planes may be
+    *ragged* — instances of different sizes — so per-instance quantities
+    (packed-key bases, round schedules) must come from the per-node
+    ``local_n_of`` array, never from a single scalar ``n``.  Instances need
+    not enter the plane in lockstep: a kernel whose ``takeover_round``
+    exceeds 1 must implement :meth:`absorb_instance` (usually together with
+    :attr:`prologue_oracle`), and the runner executes each instance's
+    scalar prologue against the shared global clock before absorbing its
+    state into the plane at its own takeover round.  A node whose
+    ``live`` flag is clear must send nothing.
     """
 
     #: Filled in by :func:`register_kernel`.
     program_class: Type[NodeProgram]
-
-    #: Stacking contract (see :mod:`repro.congest.engine.batched`): ``True``
-    #: iff K independent instances of this kernel may execute as one stacked
-    #: message plane.  Requires per-node transitions that consult only
-    #: intra-instance data: ``plane.local_n_of`` / ``plane.local_ids``
-    #: instead of global ids and the global ``plane.n``, and never
-    #: ``self.network`` (a stacked run has no single network).  Stacked
-    #: planes may be *ragged* — instances of different sizes — so
-    #: per-instance quantities (packed-key bases, round schedules) must come
-    #: from the per-node ``local_n_of`` array, never from a single scalar
-    #: ``n``.  Instances need not enter the plane in lockstep: a kernel
-    #: whose ``takeover_round`` exceeds 1 must implement
-    #: :meth:`absorb_instance` (usually together with
-    #: :attr:`prologue_oracle`), and the stacked runner executes each
-    #: instance's scalar prologue against the shared global clock before
-    #: absorbing its state into the plane at its own takeover round.
-    stackable = True
 
     @classmethod
     def _blank(cls, plane: "CsrPlane") -> "VectorKernel":
@@ -478,12 +468,13 @@ class VectorKernel(ABC):
         """
         self = cls.__new__(cls)
         self.plane = plane
-        self.network = None
         self.live = np.ones(plane.n, dtype=bool)
         self._outputs = {}
         return self
 
-    #: Vectorized boot (optional, stacked runs only): subclasses may bind a
+    #: Vectorized boot (optional; only for runs whose instances the runner
+    #: builds itself — a solo run arrives with its ``Simulator``'s objects
+    #: and boots through the object path): subclasses may bind a
     #: classmethod ``stacked_setup(plane, inputs) -> (kernel, pending)``
     #: that replaces per-node program instantiation, scalar ``setup`` and
     #: handover collection with direct array initialization.  ``inputs`` is
@@ -493,20 +484,20 @@ class VectorKernel(ABC):
     #: first global node, ``plane.local_ns[k]`` its size — instances need
     #: not share one size).  The implementation must reproduce the scalar
     #: boot bit for bit: same initial state, same round-1 broadcast
-    #: mask/columns/bits.  A ``None`` *attribute* means the stacked runner
-    #: always boots through the scalar path; an implementation may also
+    #: mask/columns/bits.  A ``None`` *attribute* means the runner always
+    #: boots through the object path; an implementation may also
     #: *return* ``None`` to decline one particular group (a kernel whose
     #: round-1 takeover is conditional on the inputs, e.g. lemma310's
     #: canonical gate), which sends that group through the scalar boot
     #: and the per-instance takeover machinery.
     stacked_setup = None
 
-    #: Scalar-prologue actor oracle (optional, stacked runs only): a
+    #: Scalar-prologue actor oracle (optional): a
     #: classmethod ``prologue_oracle(network, programs) ->
     #: Callable[[int], Optional[np.ndarray]]`` mapping a *local* round
     #: number to the sorted array of local node ids whose ``receive`` can
-    #: act that round (``None`` = every active node must run).  The stacked
-    #: runner uses it to skip provably no-op ``receive`` calls while an
+    #: act that round (``None`` = every active node must run).  The runner
+    #: uses it to skip provably no-op ``receive`` calls while an
     #: instance is still in its scalar prologue; skipping a node must be
     #: observationally identical to delivering its (empty) inbox that
     #: round.  ``None`` disables the optimization.
@@ -539,10 +530,9 @@ class VectorKernel(ABC):
         that instance's per-node programs and contexts (*local* ids;
         global id = local id + ``lo``).  Implementations must set
         ``self.live[lo:hi]`` from the contexts' halted flags and fill
-        every per-node state array exactly as ``__init__`` would for a
-        solo run.  The default refuses — kernels that take over at round 1
-        never need it, and the stacked runner converts the refusal into a
-        per-cell fallback.
+        every per-node state array exactly as ``__init__`` would.  The
+        default refuses — kernels that take over at round 1 never need
+        it, and the runner rejects a late takeover without it at boot.
         """
         raise BatchEligibilityError(
             f"{type(self).__name__} cannot absorb a scalar prologue; "
@@ -552,12 +542,12 @@ class VectorKernel(ABC):
     def __init__(
         self,
         plane: CsrPlane,
-        network: Network,
-        programs: Dict[int, NodeProgram],
-        contexts: Dict[int, Context],
+        programs: Sequence[NodeProgram],
+        contexts: Sequence[Context],
     ):
+        """Lockstep boot: ``programs`` / ``contexts`` are indexed by global
+        plane node id, fresh from every instance's ``setup``."""
         self.plane = plane
-        self.network = network
         self.live = np.fromiter(
             (not contexts[v]._halted for v in range(plane.n)),
             dtype=bool,
@@ -579,18 +569,9 @@ class VectorKernel(ABC):
         """First round to execute vectorized (rounds before it run scalar)."""
         return 1
 
-    @property
-    def live_count(self) -> int:
-        return int(self.live.sum())
-
     def output(self, node: int, key: str, value: object) -> None:
         """Record one node's local output (mirrors ``Context.output``)."""
         self._outputs.setdefault(node, {})[key] = value
-
-    def write_outputs(self, outputs: Dict[int, Dict[str, object]]) -> None:
-        """Merge kernel-recorded outputs over the scalar-phase outputs."""
-        for node, values in self._outputs.items():
-            outputs[node].update(values)
 
     @abstractmethod
     def step(
@@ -618,11 +599,6 @@ def kernel_for(program_cls: Type[NodeProgram]) -> Optional[Type[VectorKernel]]:
     return _KERNELS.get(program_cls)
 
 
-#: Sentinel: the queued traffic at the handover point was not a conforming
-#: single-tag full broadcast, so the run must stay on scalar semantics.
-_NONCONFORMING = object()
-
-
 @register_engine
 class VectorEngine(Engine):
     """Numpy message-plane engine with scalar fallback (see module doc)."""
@@ -642,11 +618,11 @@ class VectorEngine(Engine):
         kernel_cls = self._kernel_class(programs)
         if kernel_cls is None or not kernel_cls.eligible(network, programs):
             return self._scalar.run(network, programs, contexts, max_rounds)
-        return self._run_hybrid(
-            kernel_cls, network, programs, contexts, max_rounds
-        )
+        # Deferred import: the stacked loop builds on this module's plane
+        # and kernel types.
+        from repro.congest.engine.batched import run_instance
 
-    # -- eligibility ---------------------------------------------------------
+        return run_instance(network, programs, contexts, max_rounds)
 
     @staticmethod
     def _kernel_class(
@@ -669,273 +645,3 @@ class VectorEngine(Engine):
         if any(type(p) is not cls for p in programs.values()):
             return None
         return kernel_cls
-
-    # -- hybrid loop ---------------------------------------------------------
-
-    def _run_hybrid(
-        self,
-        kernel_cls: Type[VectorKernel],
-        network: Network,
-        programs: Dict[int, NodeProgram],
-        contexts: Dict[int, Context],
-        max_rounds: int,
-    ) -> SimulationResult:
-        n = network.n
-        budget = network.bit_budget
-        records = [(v, contexts[v], programs[v].receive) for v in range(n)]
-
-        for v, ctx, _ in records:
-            ctx.round_number = 0
-            programs[v].setup(ctx)
-
-        active = [rec for rec in records if not rec[1]._halted]
-        drain: Sequence[tuple] = records
-        inboxes: Inboxes = [None] * n
-
-        total_messages = 0
-        total_bits = 0
-        max_bits = 0
-        messages_per_round: List[int] = []
-        bits_per_round: List[int] = []
-
-        takeover: Optional[int] = kernel_cls.takeover_round(network, programs)
-        pending: Optional[PendingBroadcast] = None
-        handover = False
-        rounds = 0
-
-        # Scalar prefix: exact FastEngine mechanics until the kernel's
-        # takeover round (round 1 for fully-broadcast programs).
-        while rounds < max_rounds:
-            if takeover is not None and rounds + 1 >= takeover:
-                collected = self._collect_handover(
-                    drain, kernel_cls.program_class.message_specs, n
-                )
-                if collected is _NONCONFORMING:
-                    takeover = None  # stay scalar for the whole run
-                else:
-                    pending = collected
-                    handover = True
-                    break
-
-            touched, sizes = FastEngine._collect_traffic(drain, inboxes)
-            round_messages = len(sizes)
-            round_bits, max_bits = FastEngine._charge(
-                sizes, inboxes, touched, budget, max_bits
-            )
-            total_bits += round_bits
-
-            if not active:
-                for to in touched:
-                    inboxes[to] = None
-                break
-
-            rounds += 1
-            total_messages += round_messages
-            messages_per_round.append(round_messages)
-            bits_per_round.append(round_bits)
-
-            still_active = []
-            keep = still_active.append
-            for rec in active:
-                v, ctx, recv = rec
-                ctx.round_number = rounds
-                box = inboxes[v]
-                if box is None:
-                    recv(ctx, _EMPTY_INBOX)
-                else:
-                    inboxes[v] = None
-                    recv(ctx, box)
-                if not ctx._halted:
-                    keep(rec)
-            for to in touched:
-                inboxes[to] = None
-
-            drain = active
-            active = still_active
-            if not active:
-                break
-        else:
-            raise SimulationLimitError(
-                f"simulation did not terminate within {max_rounds} rounds"
-            )
-
-        kernel: Optional[VectorKernel] = None
-        if handover:
-            plane = CsrPlane(network)
-            kernel = kernel_cls(plane, network, programs, contexts)
-            while rounds < max_rounds:
-                round_messages, round_bits, wire_max = self._account(
-                    plane, pending, budget
-                )
-                total_bits += round_bits
-                if wire_max > max_bits:
-                    max_bits = wire_max
-
-                if kernel.live_count == 0:
-                    break  # in-flight traffic charged, round not executed
-
-                rounds += 1
-                total_messages += round_messages
-                messages_per_round.append(round_messages)
-                bits_per_round.append(round_bits)
-
-                pending = kernel.step(rounds, pending)
-                if kernel.live_count == 0:
-                    # Mirrors the scalar engines' bottom-of-loop break: when
-                    # a round ends with every node halted, traffic queued
-                    # during that round is discarded *uncharged* (the scalar
-                    # loops never reach their next top-of-loop collection).
-                    break
-            else:
-                raise SimulationLimitError(
-                    f"simulation did not terminate within {max_rounds} rounds"
-                )
-
-        outputs = {v: dict(ctx._outputs) for v, ctx in contexts.items()}
-        if kernel is not None:
-            kernel.write_outputs(outputs)
-            all_halted = kernel.live_count == 0
-        else:
-            all_halted = not active
-        return SimulationResult(
-            rounds=rounds,
-            total_messages=total_messages,
-            total_bits=total_bits,
-            max_message_bits=max_bits,
-            outputs=outputs,
-            all_halted=all_halted,
-            messages_per_round=messages_per_round,
-            bits_per_round=bits_per_round,
-        )
-
-    # -- message plane -------------------------------------------------------
-
-    @staticmethod
-    def _collect_handover(
-        drain: Sequence[tuple],
-        specs: Sequence[MessageSpec],
-        n: int,
-    ):
-        """Drain queued outboxes into one :class:`PendingBroadcast`.
-
-        Returns the pending traffic (possibly with an all-false mask), or
-        :data:`_NONCONFORMING` when any queued outbox is not a full
-        single-message broadcast with a declared tag — partial sends,
-        per-neighbor messages and unknown tags all disqualify the round,
-        in which case no outbox is touched and scalar execution continues.
-        """
-        spec_by_tag = {spec.tag: spec for spec in specs}
-        senders: List[tuple] = []
-        spec: Optional[MessageSpec] = None
-        for rec in drain:
-            ctx = rec[1]
-            out = ctx._outbox
-            if not out:
-                continue
-            if len(out) != ctx.degree:
-                return _NONCONFORMING
-            messages = iter(out.values())
-            first = next(messages)
-            for msg in messages:
-                if msg is not first and msg != first:
-                    return _NONCONFORMING
-            if spec is None:
-                spec = spec_by_tag.get(first.tag)
-                if spec is None or len(first.fields) != spec.arity:
-                    return _NONCONFORMING
-            elif first.tag != spec.tag or len(first.fields) != spec.arity:
-                return _NONCONFORMING
-            senders.append((rec[0], ctx, first))
-
-        mask = np.zeros(n, dtype=bool)
-        if spec is None:
-            spec = specs[0]  # silent handover round: any spec will do
-        columns = tuple(
-            np.zeros(n, dtype=np.int64) for _ in range(spec.arity)
-        )
-        bits = np.zeros(n, dtype=np.int64)
-        for v, ctx, msg in senders:
-            ctx._outbox = {}
-            mask[v] = True
-            for i, field in enumerate(msg.fields):
-                columns[i][v] = field
-            bits[v] = msg.bits
-        return PendingBroadcast(spec, mask, columns, bits)
-
-    @staticmethod
-    def _account(
-        plane: CsrPlane,
-        pending: PendingTraffic,
-        budget: Optional[int],
-    ) -> Tuple[int, int, int]:
-        """Exact wire totals ``(messages, bits, max_bits)`` for one round.
-
-        A round may carry several independently-tagged parts (broadcast
-        and/or targeted); totals are summed across them.  A broadcast puts
-        ``degree`` copies of the sender's message on the wire, so its
-        counts are degree-weighted sums over the sender mask; a targeted
-        part puts exactly one message per masked slot on the wire, so its
-        counts are masked sums.  Raises :class:`MessageTooLargeError` for
-        the lowest-id over-budget sender, matching the scalar engines'
-        ascending scan.
-        """
-        messages = bits_total = wire_max = 0
-        for part in pending_parts(pending):
-            if isinstance(part, PendingTargeted):
-                m, b, w = VectorEngine._account_targeted(plane, part, budget)
-            else:
-                m, b, w = VectorEngine._account_broadcast(plane, part, budget)
-            messages += m
-            bits_total += b
-            if w > wire_max:
-                wire_max = w
-        return messages, bits_total, wire_max
-
-    @staticmethod
-    def _account_broadcast(
-        plane: CsrPlane,
-        pending: PendingBroadcast,
-        budget: Optional[int],
-    ) -> Tuple[int, int, int]:
-        on_wire = pending.mask & (plane.degrees > 0)
-        if not on_wire.any():
-            return 0, 0, 0
-        degrees = plane.degrees[on_wire]
-        bits = pending.bits[on_wire]
-        wire_max = int(bits.max())
-        if budget is not None and wire_max > budget:
-            sender = int(np.flatnonzero(on_wire & (pending.bits > budget))[0])
-            receiver = int(plane.indices[plane.indptr[sender]])
-            raise MessageTooLargeError(
-                sender, receiver, int(pending.bits[sender]), budget
-            )
-        return int(degrees.sum()), int((degrees * bits).sum()), wire_max
-
-    @staticmethod
-    def _account_targeted(
-        plane: CsrPlane,
-        pending: PendingTargeted,
-        budget: Optional[int],
-    ) -> Tuple[int, int, int]:
-        mask = pending.slot_mask
-        if not mask.any():
-            return 0, 0, 0
-        bits = pending.bits[mask]
-        wire_max = int(bits.max())
-        if budget is not None and wire_max > budget:
-            slots = np.flatnonzero(mask & (pending.bits > budget))
-            senders = np.asarray(plane.indices)[slots]
-            # Slot order is receiver order; the scalar engines scan
-            # ascending *senders*, so pick lowest sender, then receiver.
-            slot = int(slots[np.lexsort((slots, senders))[0]])
-            receiver = (
-                int(np.searchsorted(np.asarray(plane.indptr), slot, "right"))
-                - 1
-            )
-            raise MessageTooLargeError(
-                int(plane.indices[slot]),
-                receiver,
-                int(pending.bits[slot]),
-                budget,
-            )
-        return int(mask.sum()), int(bits.sum()), wire_max

@@ -96,8 +96,8 @@ class ColorReductionKernel(VectorKernel):
 
     _SPEC = ColorReductionProgram.message_specs[0]
 
-    def __init__(self, plane, network, programs, contexts):
-        super().__init__(plane, network, programs, contexts)
+    def __init__(self, plane, programs, contexts):
+        super().__init__(plane, programs, contexts)
         n = plane.n
         self.color = np.fromiter(
             (programs[v].color for v in range(n)), dtype=np.int64, count=n

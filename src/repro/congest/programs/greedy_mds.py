@@ -140,8 +140,8 @@ class DistributedGreedyKernel(VectorKernel):
 
     _SPEC = {spec.tag: spec for spec in DistributedGreedyProgram.message_specs}
 
-    def __init__(self, plane, network, programs, contexts):
-        super().__init__(plane, network, programs, contexts)
+    def __init__(self, plane, programs, contexts):
+        super().__init__(plane, programs, contexts)
         n = plane.n
         self.ids = plane.local_ids
         self.covered = np.fromiter(

@@ -77,8 +77,8 @@ class RoundingExecutionKernel(VectorKernel):
     the same round, exactly like the scalar ``receive``.
     """
 
-    def __init__(self, plane, network, programs, contexts):
-        super().__init__(plane, network, programs, contexts)
+    def __init__(self, plane, programs, contexts):
+        super().__init__(plane, programs, contexts)
         n = plane.n
         self.x_num = np.fromiter(
             (programs[v].x_num for v in range(n)), dtype=np.int64, count=n

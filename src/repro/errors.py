@@ -56,10 +56,10 @@ class BatchEligibilityError(CongestError):
 
     Raised by :func:`repro.congest.engine.batched.run_stacked` /
     :func:`~repro.congest.engine.batched.iter_stacked` when the instances
-    violate a stacking precondition (a program without a stackable vector
-    kernel, a late-takeover kernel that cannot absorb a scalar prologue
-    — ``takeover_round > 1`` without ``absorb_instance`` — or a
-    non-conforming handover; sizes, bit budgets and per-instance takeover
+    violate a stacking precondition (a program without a vector kernel,
+    a kernel that declines an instance's inputs, or a late-takeover kernel
+    that cannot absorb a scalar prologue — ``takeover_round > 1`` without
+    ``absorb_instance``; sizes, bit budgets and per-instance takeover
     rounds may all differ — the plane is ragged and instances join it at
     their own takeover round).  The batch runner
     treats this as a signal to fall back to per-cell execution, so callers

@@ -109,6 +109,7 @@ from repro.api.registry import (
 from repro.congest.engine import available_engines
 from repro.congest.network import Network
 from repro.errors import (
+    ReproError,
     UnknownEngineError,
     UnknownStrategyError,
     WorkerLostError,
@@ -323,10 +324,14 @@ def _iter_batched_group_records(
     record of the group — so per-group and per-engine wall totals still
     sum to the group's shared simulation wall.
 
-    Any error falls back to per-cell execution for the instances not yet
-    yielded (already-yielded records are exact solo-parity results and
-    stay valid); the per-cell runs reproduce each solo outcome, including
-    structured per-cell failures.
+    A graph generator error while building the group's topologies, or a
+    structured :class:`~repro.errors.ReproError` from the stacked run (an
+    ineligible group, a round limit, an oversized message), falls back to
+    per-cell execution for the instances not yet yielded (already-yielded
+    records are exact solo-parity results and stay valid); the per-cell
+    runs reproduce each solo outcome, including structured per-cell
+    failures.  Any other exception is a bug in the stacked path and
+    propagates instead of passing for a slow but correct run.
     """
     from repro.congest.engine import iter_stacked
 
@@ -335,10 +340,24 @@ def _iter_batched_group_records(
         list(networks) if networks is not None else [None] * len(cells)
     )
     done = set()
+
+    def per_cell() -> Iterator[Tuple[int, RunRecord]]:
+        for i, (cell, net) in enumerate(zip(cells, nets)):
+            if i not in done:
+                start = time.perf_counter()
+                record = _run_cell_record(cell, network=net)
+                yield i, _attach_plan(
+                    record, plan_meta, time.perf_counter() - start
+                )
+
     try:
         for i, cell in enumerate(cells):
             if nets[i] is None:
                 nets[i] = build_network(cell)
+    except Exception:  # noqa: BLE001 - a generator error is a cell failure
+        yield from per_cell()
+        return
+    try:
         spec = program_spec(cells[0].program)
         inputs = (
             [spec.batch_inputs(net) for net in nets]
@@ -371,14 +390,8 @@ def _iter_batched_group_records(
             # control back: time the consumer spends processing the yielded
             # record must not count as simulation wall.
             prev = time.perf_counter()
-    except Exception:  # noqa: BLE001 - stacking is an optimization only
-        for i, (cell, net) in enumerate(zip(cells, nets)):
-            if i not in done:
-                start = time.perf_counter()
-                record = _run_cell_record(cell, network=net)
-                yield i, _attach_plan(
-                    record, plan_meta, time.perf_counter() - start
-                )
+    except ReproError:
+        yield from per_cell()
 
 
 def _run_batched_group_records(

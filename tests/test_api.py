@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +104,55 @@ class TestRegistry:
             register_program(
                 ProgramSpec(name="broken", description="", drive=lambda n, e: None)
             )
+
+
+#: Two threads make the first registry query of a fresh interpreter at once.
+_CONCURRENT_FIRST_LOOKUP = textwrap.dedent(
+    """
+    import threading
+    from repro.api.registry import program_spec
+
+    barrier = threading.Barrier(2)
+    errors = []
+
+    def lookup(name):
+        barrier.wait()
+        try:
+            program_spec(name)
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    threads = [
+        threading.Thread(target=lookup, args=(name,))
+        for name in ("greedy", "lemma310")
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    print(errors)
+    raise SystemExit(1 if errors else 0)
+    """
+)
+
+
+def test_builtin_registry_load_is_thread_safe():
+    """A thread that queries the registry while another is loading the
+    built-in specs must wait for the load, not see a half-filled
+    registry (``unknown program 'greedy'; available: cds``)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(src), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _CONCURRENT_FIRST_LOOKUP],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 class TestAllProgramsGridDrivable:

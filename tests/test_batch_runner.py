@@ -275,6 +275,40 @@ class TestBatchStrategy:
         assert [r["ok"] for r in results] == [True, True, False]
         assert results[2]["error"]["type"] == "GraphError"
 
+    def test_batch_survives_generator_error(self):
+        """A third-party generator error while building a stacked group's
+        topologies becomes per-cell failure records, as on the cell path."""
+        from repro.api import Experiment
+
+        cells = (
+            Experiment("greedy").on("regular").sizes(4).engine("vector")
+            .seeds([0, 1]).cells()
+        )
+        batch = run_grid(cells, strategy="batch")
+        assert self._strip(batch) == self._strip(run_grid(cells, strategy="cell"))
+        assert [r["ok"] for r in batch] == [False, False]
+        assert batch[0]["error"]["type"] == "NetworkXError"
+
+    def test_kernel_bug_in_stacked_group_propagates(self, monkeypatch):
+        """Only structured errors reroute a stacked group per cell: a
+        kernel bug must surface, not pass for a slow but correct run."""
+        from repro.api import Experiment
+        from repro.congest.engine import kernel_for
+        from repro.congest.programs.greedy_mds import DistributedGreedyProgram
+
+        def broken_step(self, round_no, inbound):
+            raise RuntimeError("kernel bug")
+
+        monkeypatch.setattr(
+            kernel_for(DistributedGreedyProgram), "step", broken_step
+        )
+        cells = (
+            Experiment("greedy").on("gnp").sizes(24).engine("vector")
+            .seeds([0, 1, 2]).cells()
+        )
+        with pytest.raises(RuntimeError, match="kernel bug"):
+            run_grid(cells, strategy="batch")
+
     def test_program_summaries_present(self):
         results = run_grid(self.SWEEP, strategy="batch")
         for rec in results:

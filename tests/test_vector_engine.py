@@ -17,6 +17,7 @@ from repro.congest.engine import (
     VectorEngine,
     VectorKernel,
     register_kernel,
+    run_stacked,
 )
 from repro.congest.engine.vector import CsrPlane, bit_length_array
 from repro.congest.message import Message, bits_of_int, message_bits
@@ -135,6 +136,44 @@ class _TargetedKernel(VectorKernel):
         raise AssertionError("non-conforming traffic must not reach the kernel")
 
 
+class _SometimesTargetedProgram(NodeProgram):
+    """Broadcasts its id in ``setup`` unless its input asks for a
+    single-neighbor send: one group can mix conforming and non-conforming
+    instances."""
+
+    message_specs = (MessageSpec("one", "value"),)
+
+    def setup(self, ctx):
+        if not self.input:
+            ctx.broadcast(Message("one", ctx.node))
+        elif ctx.neighbors:
+            ctx.send(ctx.neighbors[0], Message("one", ctx.node))
+
+    def receive(self, ctx, inbox):
+        ctx.output("heard", sorted(inbox))
+        ctx.halt()
+
+
+@register_kernel(_SometimesTargetedProgram)
+class _SometimesTargetedKernel(VectorKernel):
+    def step(self, round_no, inbound):
+        plane = self.plane
+        sent = plane.sent_slots(inbound)
+        for v in np.flatnonzero(self.live):
+            row = slice(plane.indptr[v], plane.indptr[v + 1])
+            heard = plane.local_ids[plane.indices[row][sent[row]]]
+            self.output(int(v), "heard", sorted(int(u) for u in heard))
+        self.live[:] = False
+        return None
+
+
+def _gnp_networks(sizes):
+    return [
+        Network.congest(gnp_graph(n, 0.15, seed=seed))
+        for seed, n in enumerate(sizes)
+    ]
+
+
 class TestFallbackLadder:
     def test_program_without_specs_falls_back(self, small_gnp):
         net = Network.congest(small_gnp)
@@ -147,6 +186,34 @@ class TestFallbackLadder:
         vec = Simulator(net, _TargetedProgram, engine="vector").run()
         fast = Simulator(net, _TargetedProgram, engine="fast").run()
         assert vec == fast
+
+    def test_nonconforming_group_stays_scalar_when_stacked(self):
+        """Every instance of a K = 3 group queues non-conforming traffic
+        at its takeover round: none is handed to the kernel, and each
+        finishes scalar inside the shared loop exactly like ``fast``."""
+        networks = _gnp_networks((30, 24, 40))
+        stacked = run_stacked(networks, _TargetedProgram, max_rounds=10)
+        fast = [
+            Simulator(net, _TargetedProgram, engine="fast").run(max_rounds=10)
+            for net in networks
+        ]
+        assert stacked == fast
+
+    def test_mixed_conformance_group_matches_fast(self):
+        """A non-conforming instance stays scalar while its conforming
+        siblings run on the plane from round 1."""
+        networks = _gnp_networks((30, 24, 40))
+        inputs = [{}, {v: True for v in range(networks[1].n)}, {}]
+        stacked = run_stacked(
+            networks, _SometimesTargetedProgram, inputs=inputs, max_rounds=10
+        )
+        fast = [
+            Simulator(
+                net, _SometimesTargetedProgram, inputs=inputs[k], engine="fast"
+            ).run(max_rounds=10)
+            for k, net in enumerate(networks)
+        ]
+        assert stacked == fast
 
     def test_mixed_program_classes_fall_back(self):
         programs = {0: _PlainProgram(), 1: DistributedGreedyProgram()}
@@ -178,3 +245,24 @@ class TestBudgetEnforcement:
                 sim.run(max_rounds=50)
             errors[engine] = (exc.value.sender, exc.value.bits, exc.value.budget)
         assert errors["reference"] == errors["vector"]
+
+    def test_stacked_offender_matches_solo(self):
+        """Budgets are per-instance on a ragged plane: only the tight
+        instance overflows, and it raises what its solo run raises."""
+        graphs = [gnp_graph(n, 0.4, seed=3) for n in (10, 12, 14)]
+        networks = [
+            Network.congest(graphs[0]),
+            Network(graphs[1], bit_budget=17),
+            Network.congest(graphs[2]),
+        ]
+        with pytest.raises(MessageTooLargeError) as solo:
+            Simulator(networks[1], DistributedGreedyProgram, engine="fast").run(
+                max_rounds=50
+            )
+        with pytest.raises(MessageTooLargeError) as stacked:
+            run_stacked(networks, DistributedGreedyProgram, max_rounds=50)
+        assert (stacked.value.sender, stacked.value.bits, stacked.value.budget) == (
+            solo.value.sender,
+            solo.value.bits,
+            solo.value.budget,
+        )
