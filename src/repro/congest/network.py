@@ -14,8 +14,10 @@ from array import array
 from typing import Dict, Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import GraphError
+from repro.graphs.csr import csr_graph
 from repro.util.mathx import ceil_log2
 
 
@@ -31,12 +33,46 @@ def _as_long_array(values) -> array:
         out = array("l")
         out.frombytes(values.tobytes())
         return out
-    import numpy as np
-
     contiguous = np.ascontiguousarray(values, dtype=np.dtype("l"))
     out = array("l")
     out.frombytes(contiguous.tobytes())
     return out
+
+
+def _check_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise :class:`GraphError` unless ``(indptr, indices)`` is the CSR of a
+    simple undirected graph on ``0..n-1`` with sorted rows.
+
+    Vectorized and linear apart from one sort for the symmetry check: these
+    arrays arrive from other processes and from array-native generators, and
+    every engine trusts them without further checks.
+    """
+    n = len(indptr) - 1
+    m = len(indices)
+    if indptr[0] != 0 or indptr[-1] != m:
+        raise GraphError("malformed CSR adjacency: bad indptr bounds")
+    degrees = np.diff(indptr)
+    if (degrees < 0).any():
+        raise GraphError("malformed CSR adjacency: indptr is not monotone")
+    if m == 0:
+        return
+    if indices.min() < 0 or indices.max() >= n:
+        raise GraphError(f"malformed CSR adjacency: neighbor index outside [0, {n})")
+    rows = np.repeat(np.arange(n, dtype=indices.dtype), degrees)
+    # Within a row, consecutive neighbors must strictly increase.
+    same_row = rows[1:] == rows[:-1]
+    if (indices[1:][same_row] <= indices[:-1][same_row]).any():
+        raise GraphError(
+            "malformed CSR adjacency: rows must be strictly ascending "
+            "(sorted, no repeated neighbor)"
+        )
+    if (indices == rows).any():
+        raise GraphError("malformed CSR adjacency: self-loop")
+    # Rows and columns both ascend, so the keys row*n+col are sorted; the
+    # transposed keys must be the same set.
+    keys = rows * n + indices
+    if not np.array_equal(np.sort(indices * n + rows), keys):
+        raise GraphError("malformed CSR adjacency: adjacency is not symmetric")
 
 
 def congest_bit_budget(n: int, factor: int = 16, base: int = 96) -> int:
@@ -104,16 +140,19 @@ class Network:
     ) -> "Network":
         """Rebuild a network directly from flat CSR adjacency arrays.
 
-        This is the shared-memory transport path: a worker process receives
-        the ``(indptr, indices)`` arrays another process compiled (e.g. via
-        ``multiprocessing.shared_memory``) and reconstructs an equivalent
-        network without re-generating — or even materializing — the
-        ``networkx`` graph.  The ``graph`` property rebuilds one lazily if
-        an algorithm outside the simulator needs it.
+        This is how suite topologies become networks: in process, the
+        runner hands over the CSR an array-native generator sampled
+        (:func:`repro.graphs.generators.gnp_csr`); across processes, a
+        worker receives the arrays another process compiled (e.g. via
+        ``multiprocessing.shared_memory``).  Neither path materializes the
+        ``networkx`` graph; the ``graph`` property rebuilds one lazily if an
+        algorithm outside the simulator needs it.
 
         ``indptr``/``indices`` may be any int sequences (``array('l')``,
         numpy arrays, lists); they are copied into the canonical ``array``
-        representation so the instance owns its topology.
+        representation so the instance owns its topology, then validated
+        (sorted rows, indices in range, no self-loop, symmetric) —
+        :class:`GraphError` on malformed input.
         """
         net = cls.__new__(cls)
         n = len(indptr) - 1
@@ -125,8 +164,7 @@ class Network:
         net._indptr = _as_long_array(indptr)
         net._indices = _as_long_array(indices)
         net._neighbors = {}
-        if net._indptr[0] != 0 or net._indptr[-1] != len(net._indices):
-            raise GraphError("malformed CSR adjacency: bad indptr bounds")
+        _check_csr(*net._csr_arrays())
         return net
 
     @property
@@ -134,15 +172,7 @@ class Network:
         """The ``networkx`` view of the topology (rebuilt lazily after
         :meth:`from_csr`; the constructor argument otherwise)."""
         if self._graph is None:
-            g = nx.Graph()
-            g.add_nodes_from(range(self.n))
-            indptr, indices = self._indptr, self._indices
-            for v in range(self.n):
-                for i in range(indptr[v], indptr[v + 1]):
-                    u = indices[i]
-                    if u > v:
-                        g.add_edge(v, u)
-            self._graph = g
+            self._graph = csr_graph(*self._csr_arrays())
         return self._graph
 
     def neighbors(self, v: int) -> Tuple[int, ...]:
@@ -168,9 +198,14 @@ class Network:
 
     @property
     def max_degree(self) -> int:
-        indptr = self._indptr
-        return max(
-            (indptr[v + 1] - indptr[v] for v in range(self.n)), default=0
+        return int(np.diff(self._csr_arrays()[0]).max())
+
+    def _csr_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Zero-copy numpy views of :meth:`csr`."""
+        dtype = np.dtype("l")
+        return (
+            np.frombuffer(self._indptr, dtype=dtype),
+            np.frombuffer(self._indices, dtype=dtype),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -107,7 +107,7 @@ from repro.api.registry import (
     program_spec,
 )
 from repro.congest.engine import available_engines
-from repro.congest.network import Network
+from repro.congest.network import Network, congest_bit_budget
 from repro.errors import (
     ReproError,
     UnknownEngineError,
@@ -237,9 +237,15 @@ def expand_grid(
 
 
 def build_network(cell: GridCell) -> Network:
-    """Generate the cell's graph and compile it into a CONGEST network."""
+    """Generate the cell's topology and compile it into a CONGEST network.
+
+    Array-native families arrive as CSR and go straight to
+    :meth:`Network.from_csr`; graph-built families compile their graph.
+    """
     inst = suite_instance(cell.family, cell.n, seed=cell.seed)
-    return Network.congest(inst.graph)
+    if inst.csr is None:
+        return Network.congest(inst.graph)
+    return Network.from_csr(*inst.csr, bit_budget=congest_bit_budget(inst.n))
 
 
 def _run_cell_record(

@@ -4,6 +4,7 @@ the bipartite double cover used by Section 3.3.
 
 from repro.graphs.normalize import normalize_graph, relabel_map
 from repro.graphs.generators import (
+    gnp_csr,
     gnp_graph,
     geometric_graph,
     preferential_attachment_graph,
@@ -23,6 +24,7 @@ from repro.graphs.validation import degree_stats, require_connected
 __all__ = [
     "normalize_graph",
     "relabel_map",
+    "gnp_csr",
     "gnp_graph",
     "geometric_graph",
     "preferential_attachment_graph",

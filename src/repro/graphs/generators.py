@@ -5,43 +5,90 @@ so the suite leans on random geometric (unit-disk) graphs; classic families
 (G(n,p), preferential attachment, grids, trees, caterpillars, regular graphs)
 round out the sweep so degree distributions from near-regular to heavy-tailed
 are covered.  All generators return normalized graphs (labels ``0..n-1``)
-and take an explicit ``seed`` so experiments are reproducible.
+and take an explicit ``seed`` so experiments are reproducible.  ``G(n, p)``
+is sampled array-native: :func:`gnp_csr` builds its normalized CSR
+adjacency with numpy, and :func:`gnp_graph` is the ``networkx`` view of it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from typing import Tuple
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import GraphError
+from repro.graphs.csr import Csr, connector_edges, csr_graph, edges_to_csr, repr_rank
 from repro.graphs.normalize import normalize_graph
 
 
-def _ensure_connected(graph: nx.Graph, rng: random.Random) -> nx.Graph:
-    """Connect components by linking a random node of each component to the
-    largest component (adds the minimum number of edges)."""
-    if graph.number_of_nodes() == 0:
-        return graph
-    components = sorted(nx.connected_components(graph), key=len, reverse=True)
-    anchor_pool = sorted(components[0])
-    for comp in components[1:]:
-        u = rng.choice(sorted(comp))
-        v = rng.choice(anchor_pool)
-        graph.add_edge(u, v)
-    return graph
+#: Uniform draws per numpy call while sampling ``G(n, p)``: bounds the
+#: scratch memory (512 KB) at any ``n``.  Larger chunks are no faster but
+#: raise a process's peak RSS by the chunk's size (2.5 MB at n=800).
+_DRAW_CHUNK = 1 << 16
+
+
+def _gnp_pairs(n: int, p: float, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The pairs ``(i < j)`` that ``nx.gnp_random_graph(n, p, seed)`` keeps.
+
+    networkx draws one ``random.Random(seed).random()`` per pair in
+    ``itertools.combinations(range(n), 2)`` order and keeps the pair when
+    the draw is below ``p``.  A numpy ``RandomState`` loaded with the same
+    MT19937 state yields the same 53-bit doubles (the legacy stream is
+    frozen), so the same pairs come out of a chunked vector comparison.
+    """
+    if p >= 1:
+        return np.triu_indices(n, 1)
+    total = n * (n - 1) // 2
+    if p <= 0 or total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    _, internal, _ = random.Random(seed).getstate()
+    state = np.random.RandomState()
+    state.set_state(
+        ("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1])
+    )
+    # Flat index of the first pair of row i: sum of (n-1-r) for r < i.
+    rows = np.arange(n - 1, dtype=np.int64)
+    row_start = rows * (n - 1) - rows * (rows - 1) // 2
+    hits = []
+    for lo in range(0, total, _DRAW_CHUNK):
+        draws = state.random_sample(min(_DRAW_CHUNK, total - lo))
+        hits.append(np.flatnonzero(draws < p) + lo)
+    flat = np.concatenate(hits)
+    i = np.searchsorted(row_start, flat, side="right") - 1
+    return i, flat - row_start[i] + i + 1
+
+
+def gnp_csr(n: int, p: float, seed: int = 0, connected: bool = True) -> Csr:
+    """Erdos-Renyi ``G(n, p)`` as a normalized CSR adjacency.
+
+    The instance is the one the ``networkx`` route builds —
+    ``nx.gnp_random_graph(n, p, seed)``, patched connected, relabelled by
+    :func:`~repro.graphs.normalize.relabel_map` — sampled and assembled
+    entirely in numpy.
+    """
+    if n <= 0:
+        raise GraphError("n must be positive")
+    src, dst = _gnp_pairs(n, p, seed)
+    if connected:
+        extra = connector_edges(n, src, dst, seed)
+        if extra:
+            pairs = np.array(extra, dtype=np.int64)
+            src = np.concatenate((src, pairs[:, 0]))
+            dst = np.concatenate((dst, pairs[:, 1]))
+    rank = repr_rank(n)
+    return edges_to_csr(n, rank[src], rank[dst])
 
 
 def gnp_graph(n: int, p: float, seed: int = 0, connected: bool = True) -> nx.Graph:
-    """Erdos-Renyi ``G(n, p)``; optionally patched to be connected."""
-    if n <= 0:
-        raise GraphError("n must be positive")
-    rng = random.Random(seed)
-    graph = nx.gnp_random_graph(n, p, seed=seed)
-    if connected:
-        _ensure_connected(graph, rng)
-    return normalize_graph(graph)
+    """Erdos-Renyi ``G(n, p)``; optionally patched to be connected.
+
+    The ``networkx`` view of :func:`gnp_csr`.
+    """
+    return csr_graph(*gnp_csr(n, p, seed=seed, connected=connected))
 
 
 def geometric_graph(
@@ -56,10 +103,10 @@ def geometric_graph(
         raise GraphError("n must be positive")
     if radius is None:
         radius = math.sqrt(2.0 * math.log(max(2, n)) / (math.pi * n))
-    rng = random.Random(seed)
     graph = nx.random_geometric_graph(n, radius, seed=seed)
     if connected:
-        _ensure_connected(graph, rng)
+        edges = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+        graph.add_edges_from(connector_edges(n, edges[:, 0], edges[:, 1], seed))
     return normalize_graph(graph)
 
 

@@ -3,8 +3,11 @@
 Every algorithm in this library assumes simple undirected graphs with integer
 node labels ``0..n-1`` (node label == unique O(log n)-bit identifier, the
 standard CONGEST assumption).  :func:`normalize_graph` converts arbitrary
-``networkx`` graphs into that form deterministically (sorted original
-labels), so symmetry-breaking by ID is reproducible.
+``networkx`` graphs into that form deterministically, so symmetry-breaking
+by ID is reproducible.  Labels are ordered by ``(type name, repr)``, not by
+value: integer labels sort as strings (``10`` before ``2``).  That order is
+part of instance identity — the array-native generators
+(:mod:`repro.graphs.csr`) apply the same permutation.
 """
 
 from __future__ import annotations

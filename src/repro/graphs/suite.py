@@ -7,40 +7,72 @@ experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import networkx as nx
+import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs import generators
+from repro.graphs.csr import Csr, csr_graph
 
 
-@dataclass(frozen=True)
 class SuiteInstance:
-    """A named, reproducible benchmark graph."""
+    """A named, reproducible benchmark graph.
 
-    name: str
-    family: str
-    graph: nx.Graph
+    Array-native families are generated straight into their normalized CSR
+    adjacency (``csr``, an ``(indptr, indices)`` pair) and build the
+    ``networkx`` ``graph`` view on first access; every other family carries
+    its graph and has ``csr = None``.
+    """
+
+    __slots__ = ("name", "family", "csr", "_graph")
+
+    def __init__(
+        self,
+        name: str,
+        family: str,
+        graph: Optional[nx.Graph] = None,
+        csr: Optional[Csr] = None,
+    ):
+        if (graph is None) == (csr is None):
+            raise GraphError("a suite instance needs exactly one of graph or csr")
+        self.name = name
+        self.family = family
+        self.csr = csr
+        self._graph = graph
+
+    @property
+    def graph(self) -> nx.Graph:
+        if self._graph is None:
+            self._graph = csr_graph(*self.csr)
+        return self._graph
 
     @property
     def n(self) -> int:
+        if self.csr is not None:
+            return len(self.csr[0]) - 1
         return self.graph.number_of_nodes()
 
     @property
     def max_degree(self) -> int:
+        if self.csr is not None:
+            return int(np.diff(self.csr[0]).max())
         return max((d for _, d in self.graph.degree()), default=0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SuiteInstance({self.name}, n={self.n}, Delta={self.max_degree})"
 
 
-_FAMILY_BUILDERS: Dict[str, Callable[[int, int], nx.Graph]] = {
-    "gnp": lambda n, seed: generators.gnp_graph(n, p=min(0.5, 4.0 / n), seed=seed),
-    "gnp-dense": lambda n, seed: generators.gnp_graph(
+#: Families sampled array-native, straight into normalized CSR.
+_CSR_BUILDERS: Dict[str, Callable[[int, int], Csr]] = {
+    "gnp": lambda n, seed: generators.gnp_csr(n, p=min(0.5, 4.0 / n), seed=seed),
+    "gnp-dense": lambda n, seed: generators.gnp_csr(
         n, p=min(0.8, 12.0 / n), seed=seed
     ),
+}
+
+_FAMILY_BUILDERS: Dict[str, Callable[[int, int], nx.Graph]] = {
     "geometric": lambda n, seed: generators.geometric_graph(n, seed=seed),
     "ba": lambda n, seed: generators.preferential_attachment_graph(n, m=3, seed=seed),
     "grid": lambda n, seed: generators.grid_graph(
@@ -58,17 +90,19 @@ _FAMILY_BUILDERS: Dict[str, Callable[[int, int], nx.Graph]] = {
 
 def families() -> List[str]:
     """Names of all suite families."""
-    return sorted(_FAMILY_BUILDERS)
+    return sorted([*_CSR_BUILDERS, *_FAMILY_BUILDERS])
 
 
 def suite_instance(family: str, n: int, seed: int = 0) -> SuiteInstance:
     """Build one reproducible suite instance."""
+    name = f"{family}-{n}"
+    if family in _CSR_BUILDERS:
+        return SuiteInstance(name, family, csr=_CSR_BUILDERS[family](n, seed))
     if family not in _FAMILY_BUILDERS:
         raise GraphError(
             f"unknown family {family!r}; known: {', '.join(families())}"
         )
-    graph = _FAMILY_BUILDERS[family](n, seed)
-    return SuiteInstance(name=f"{family}-{n}", family=family, graph=graph)
+    return SuiteInstance(name, family, graph=_FAMILY_BUILDERS[family](n, seed))
 
 
 def benchmark_suite(

@@ -1,15 +1,23 @@
 """Graph generators, normalization, powers and the benchmark suite."""
 
+import hashlib
+import math
+import random
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.congest.network import Network
 from repro.errors import GraphError
+from repro.graphs.csr import component_labels
 from repro.graphs.generators import (
     caterpillar_graph,
     clique_graph,
     dumbbell_graph,
     geometric_graph,
+    gnp_csr,
     gnp_graph,
     grid_graph,
     preferential_attachment_graph,
@@ -168,6 +176,120 @@ class TestSuite:
     def test_benchmark_suite_covers_families(self):
         instances = list(benchmark_suite(sizes=(20,), families_subset=("gnp", "tree")))
         assert {i.family for i in instances} == {"gnp", "tree"}
+
+
+def _legacy_connect(graph, seed):
+    """The networkx connector the array rule must reproduce: link a random
+    node of each smaller component to a random node of the largest."""
+    rng = random.Random(seed)
+    components = sorted(nx.connected_components(graph), key=len, reverse=True)
+    anchor = sorted(components[0])
+    for comp in components[1:]:
+        graph.add_edge(rng.choice(sorted(comp)), rng.choice(anchor))
+    return graph
+
+
+def _legacy_gnp_csr(n, p, seed, connected=True):
+    """CSR of ``G(n, p)`` built the networkx way: sample, connect,
+    normalize, compile."""
+    graph = nx.gnp_random_graph(n, p, seed=seed)
+    if connected:
+        _legacy_connect(graph, seed)
+    indptr, indices = Network(normalize_graph(graph)).csr()
+    return list(indptr), list(indices)
+
+
+def _csr_lists(graph):
+    indptr, indices = Network(graph).csr()
+    return list(indptr), list(indices)
+
+
+def _csr_sha256(indptr, indices):
+    payload = np.asarray(indptr, dtype="<i8").tobytes()
+    payload += np.asarray(indices, dtype="<i8").tobytes()
+    return hashlib.sha256(payload).hexdigest()
+
+
+SUITE_P = {"gnp": lambda n: min(0.5, 4.0 / n), "gnp-dense": lambda n: min(0.8, 12.0 / n)}
+
+
+class TestGnpInstanceIdentity:
+    """The numpy sampler reproduces the networkx instances bit for bit."""
+
+    @pytest.mark.parametrize("family", sorted(SUITE_P))
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 60, 400, 1000])
+    def test_suite_cells_match_networkx_route(self, family, n):
+        p = SUITE_P[family](n)
+        for seed in (0, 1, 7) if n < 1000 else (0, 7):
+            indptr, indices = gnp_csr(n, p, seed=seed)
+            assert (indptr.tolist(), indices.tolist()) == _legacy_gnp_csr(n, p, seed)
+            instance = suite_instance(family, n, seed=seed)
+            assert instance.csr[0].tolist() == indptr.tolist()
+            assert instance.csr[1].tolist() == indices.tolist()
+
+    @pytest.mark.parametrize("p", [0.0, -0.5])
+    def test_empty_probability_connects_every_singleton(self, p):
+        for seed in (0, 4):
+            g = gnp_graph(12, p, seed=seed)
+            assert nx.is_tree(g)
+            assert _csr_lists(g) == _legacy_gnp_csr(12, p, seed)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5])
+    def test_full_probability_is_the_clique(self, p):
+        g = gnp_graph(9, p, seed=3)
+        assert g.number_of_edges() == 36
+        assert _csr_lists(g) == _legacy_gnp_csr(9, p, 3)
+
+    def test_unconnected_sample(self):
+        for seed in range(4):
+            g = gnp_graph(60, 0.02, seed=seed, connected=False)
+            assert is_normalized(g)
+            assert _csr_lists(g) == _legacy_gnp_csr(60, 0.02, seed, connected=False)
+        assert not nx.is_connected(gnp_graph(60, 0.02, seed=0, connected=False))
+
+    def test_graph_is_the_sorted_csr_view(self):
+        g = gnp_graph(80, 0.06, seed=5)
+        indptr, indices = gnp_csr(80, 0.06, seed=5)
+        assert list(g.nodes()) == list(range(80))
+        for v in range(80):
+            assert list(g.adj[v]) == indices[indptr[v]:indptr[v + 1]].tolist()
+
+    @pytest.mark.parametrize(
+        "family, n, seed, digest",
+        [
+            ("gnp", 400, 1, "f83ede099f80b6a77bc63a94fd970651b31aaf873606719eb8a7ca1aef923d60"),
+            ("gnp-dense", 60, 2, "cd243ff14e3a870be6d092ebbc1d1dc9b263c899b49df8bb81f6eb1da51181cd"),
+            ("gnp", 1000, 7, "6d4fb6fe2a92b0b55c7517a07eabe07490c516c23b14d330794856e3064cbfc2"),
+        ],
+    )
+    def test_committed_digests(self, family, n, seed, digest):
+        """Pinned without networkx: a drift in either route shows here."""
+        assert _csr_sha256(*suite_instance(family, n, seed=seed).csr) == digest
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 200])
+    def test_geometric_shares_the_connector(self, n):
+        for seed in (0, 3):
+            for radius in (None, 0.05):
+                r = radius or math.sqrt(2.0 * math.log(max(2, n)) / (math.pi * n))
+                legacy = nx.random_geometric_graph(n, r, seed=seed)
+                legacy = normalize_graph(_legacy_connect(legacy, seed))
+                g = geometric_graph(n, radius=radius, seed=seed)
+                assert list(g.edges()) == list(legacy.edges())
+
+    def test_component_labels_are_component_minima(self):
+        for graph in (
+            nx.path_graph(200),
+            nx.disjoint_union(nx.cycle_graph(7), nx.star_graph(4)),
+            nx.gnp_random_graph(300, 0.004, seed=2),
+        ):
+            n = graph.number_of_nodes()
+            edges = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+            # Reverse the edge order so hooks go both ways.
+            labels = component_labels(n, edges[::-1, 1].copy(), edges[::-1, 0].copy())
+            expected = np.empty(n, dtype=np.int64)
+            for comp in nx.connected_components(graph):
+                expected[list(comp)] = min(comp)
+            assert labels.tolist() == expected.tolist()
 
 
 class TestValidation:

@@ -38,6 +38,53 @@ class TestNetworkFromCsr:
         with pytest.raises(GraphError):
             Network.from_csr([0], [], bit_budget=None)
 
+    def test_non_monotone_indptr_rejected(self):
+        with pytest.raises(GraphError, match="monotone"):
+            Network.from_csr([0, 2, 1, 2], [1, 2], bit_budget=None)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_index_out_of_range_rejected(self, bad):
+        with pytest.raises(GraphError, match="outside"):
+            Network.from_csr([0, 1, 2], [1, bad], bit_budget=None)
+
+    def test_unsorted_row_rejected(self):
+        with pytest.raises(GraphError, match="ascending"):
+            Network.from_csr([0, 2, 4, 6], [2, 1, 0, 2, 0, 1], bit_budget=None)
+
+    def test_duplicate_neighbor_rejected(self):
+        with pytest.raises(GraphError, match="ascending"):
+            Network.from_csr([0, 2, 4], [1, 1, 0, 0], bit_budget=None)
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(GraphError, match="self-loop"):
+            Network.from_csr([0, 2, 3], [0, 1, 0], bit_budget=None)
+
+    def test_asymmetric_adjacency_rejected(self):
+        with pytest.raises(GraphError, match="symmetric"):
+            Network.from_csr([0, 1, 1], [1], bit_budget=None)
+        with pytest.raises(GraphError, match="symmetric"):
+            Network.from_csr([0, 1, 2, 2], [1, 2], bit_budget=None)
+
+    def test_isolated_nodes_accepted(self):
+        net = Network.from_csr([0, 0, 1, 2, 2], [2, 1], bit_budget=None)
+        assert net.neighbors(0) == ()
+        assert net.neighbors(1) == (2,)
+        assert net.max_degree == 1
+        assert Network.from_csr([0, 0], [], bit_budget=None).max_degree == 0
+
+    def test_graph_rebuild_keeps_the_row_order(self, small_gnp):
+        """The lazy view adds ``(v, u)`` for ``u > v`` row by row."""
+        indptr, indices = Network.congest(small_gnp).csr()
+        expected = [
+            (v, u)
+            for v in range(len(indptr) - 1)
+            for u in indices[indptr[v]:indptr[v + 1]]
+            if u > v
+        ]
+        rebuilt = Network.from_csr(indptr, indices).graph
+        assert list(rebuilt.edges()) == expected
+        assert list(rebuilt.nodes()) == list(range(len(indptr) - 1))
+
 
 class TestSharedTopology:
     def test_publish_attach_round_trip(self):
