@@ -43,10 +43,10 @@ from repro.analysis import (
 )
 from repro.domsets import CFDS, CoveringInstance
 
-#: 1.1.0: unified experiment API (``repro.api``) — ProgramSpec registry,
-#: Experiment builder, streaming grid results; legacy dict-record functions
-#: (``expand_grid``, ``run_cell``) are deprecation shims until 2.0.
-__version__ = "1.1.0"
+#: 2.0.0: the 1.x deprecation shims are gone — grids are built and run
+#: through the unified experiment API (``repro.api``), and the numpy
+#: message plane has a single code path.
+__version__ = "2.0.0"
 
 __all__ = [
     "MDSResult",

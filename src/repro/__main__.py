@@ -286,7 +286,6 @@ def cmd_serve(args) -> int:
 
     config = ServiceConfig(
         window_s=args.window,
-        max_window_cost=args.max_window_cost,
         max_window_width=args.max_window_width,
         batch_size=args.batch_size,
         max_pending_per_client=args.max_pending,
@@ -456,11 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=float, default=0.05,
         help="batch-window deadline in seconds: how long a lone request "
         "waits for concurrent tenants to coalesce",
-    )
-    p_serve.add_argument(
-        "--max-window-cost", type=int, default=0,
-        help="close a window once its accumulated cost-model estimate "
-        "reaches this (0 = unbounded)",
     )
     p_serve.add_argument(
         "--max-window-width", type=int, default=64,

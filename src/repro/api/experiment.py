@@ -1,6 +1,6 @@
 """The :class:`Experiment` builder: declarative grid runs with streaming.
 
-One fluent object replaces the old stitch-work of ``expand_grid`` +
+One fluent object replaces the old stitch-work of cell expansion +
 ``run_grid`` + hand-rolled dict handling::
 
     from repro.api import Experiment
@@ -216,16 +216,17 @@ class Experiment:
         restricted spec never breaks all-programs comparison grids.
         """
         from repro.congest.engine import available_engines
-        from repro.experiments.runner import _expand_cells
+        from repro.experiments.runner import GridCell
 
         engines = self._selected_engines()
+        programs = self._selected_programs()
         registered = set(available_engines())
         for engine in engines:
             if engine not in registered:
                 raise UnknownEngineError(engine, sorted(registered))
         explicit = self._programs is not None
         dropped = set()
-        for name in self._selected_programs():
+        for name in programs:
             spec = program_spec(name)
             for engine in engines:
                 if spec.supports_engine(engine):
@@ -235,20 +236,15 @@ class Experiment:
                         name, engine, list(spec.engines or ())
                     )
                 dropped.add((name, engine))
-        cells = _expand_cells(
-            families=self._families,
-            sizes=self._sizes,
-            programs=self._selected_programs(),
-            engines=engines,
-            seeds=self._seeds,
-        )
-        if dropped:
-            cells = [
-                cell
-                for cell in cells
-                if (cell.program, cell.engine) not in dropped
-            ]
-        return cells
+        return [
+            GridCell(family=f, n=n, program=p, engine=e, seed=s)
+            for f in self._families
+            for n in self._sizes
+            for p in programs
+            for e in engines
+            if (p, e) not in dropped
+            for s in self._seeds
+        ]
 
     def _meta(self) -> Dict[str, object]:
         meta: Dict[str, object] = {

@@ -42,7 +42,6 @@ from repro.congest.engine.base import (
 from repro.congest.engine.batched import (
     StackedPlane,
     iter_stacked,
-    plane_cost,
     run_stacked,
     stack_ineligibility,
 )
@@ -57,10 +56,7 @@ from repro.congest.engine.vector import (
     VectorKernel,
     kernel_for,
     pending_parts,
-    plane_namespace,
     register_kernel,
-    set_plane_namespace,
-    use_plane_namespace,
 )
 
 __all__ = [
@@ -83,12 +79,8 @@ __all__ = [
     "VectorKernel",
     "kernel_for",
     "pending_parts",
-    "plane_namespace",
     "register_kernel",
-    "set_plane_namespace",
-    "use_plane_namespace",
     "iter_stacked",
-    "plane_cost",
     "run_stacked",
     "stack_ineligibility",
 ]

@@ -49,24 +49,15 @@ instance whose queued traffic at its takeover round is not a conforming
 broadcast is never handed over and finishes under scalar semantics
 inside the same loop.
 
-The plane itself is backend-agnostic: every :class:`CsrPlane` hot-path
-operation routes through :func:`plane_namespace`, an array-namespace seam
-defaulting to numpy.  Under numpy the exact ``reduceat`` fast paths run
-unchanged; under any other array-API namespace (``array-api-strict`` for
-conformance testing, CuPy for GPUs) the same reductions run through
-portable segment kernels — cumulative-sum differences for segment sums,
-log-doubling sweeps for segment maxima — so switching backends is a
-:func:`use_plane_namespace` call rather than a rewrite.  The seam covers
-the plane (topology arrays plus row reductions, gathers and sender-slot
-expansion); the engine loops and kernels above it still assume
-numpy-compatible semantics.
+The plane is plain numpy: every :class:`CsrPlane` row reduction is an
+exact int64 ``ufunc.reduceat`` over the non-empty rows, and gathers and
+sender-slot expansion are fancy indexing through the CSR ``indices``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from array import array
-from contextlib import contextmanager
 from typing import Dict, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
@@ -88,51 +79,8 @@ __all__ = [
     "VectorEngine",
     "VectorKernel",
     "kernel_for",
-    "plane_namespace",
     "register_kernel",
-    "set_plane_namespace",
-    "use_plane_namespace",
 ]
-
-#: The configured array namespace for plane arrays; ``None`` means numpy.
-_PLANE_NAMESPACE = None
-
-
-def plane_namespace():
-    """The active array namespace for message-plane arrays.
-
-    This is the backend seam: :class:`CsrPlane` (and the stacked plane
-    built on it) capture the namespace returned here at construction and
-    route every hot-path operation through it.  Defaults to numpy;
-    configure another array-API namespace (``array_api_strict``, CuPy)
-    with :func:`set_plane_namespace` or :func:`use_plane_namespace`.
-    """
-    return np if _PLANE_NAMESPACE is None else _PLANE_NAMESPACE
-
-
-def set_plane_namespace(xp):
-    """Install ``xp`` as the plane's array namespace; returns the previous.
-
-    ``None`` restores the numpy default.  The namespace must implement the
-    array API standard operations the plane uses (``asarray``, ``astype``,
-    ``take``, ``where``, ``maximum``, ``cumulative_sum``, ``searchsorted``
-    and the basic constructors); numpy itself always qualifies and keeps
-    its exact ``reduceat`` fast paths.
-    """
-    global _PLANE_NAMESPACE
-    previous = _PLANE_NAMESPACE
-    _PLANE_NAMESPACE = xp
-    return previous
-
-
-@contextmanager
-def use_plane_namespace(xp):
-    """Context manager: run a block with ``xp`` as the plane namespace."""
-    previous = set_plane_namespace(xp)
-    try:
-        yield xp
-    finally:
-        set_plane_namespace(previous)
 
 #: Largest field value whose bit length the float64 ``frexp`` trick recovers
 #: exactly.  CONGEST fields are O(log n)-bit by design, so this is purely a
@@ -274,19 +222,14 @@ class CsrPlane:
     """Array view of a network's CSR topology plus exact row reductions.
 
     ``indices[indptr[v]:indptr[v+1]]`` are the neighbors of ``v`` (the
-    *slots* of row ``v``).  The plane captures :func:`plane_namespace` at
-    construction.  Under numpy, row reductions use ``ufunc.reduceat`` over
-    the non-empty rows only; under any other array-API namespace the same
-    reductions run through portable segment kernels (cumulative-sum
-    differences, log-doubling maxima).  Either way isolated nodes are
-    handled without branching and all arithmetic stays in int64
-    (bit-exact, unlike float matvecs).
+    *slots* of row ``v``).  Row reductions use ``ufunc.reduceat`` over the
+    non-empty rows only, so isolated nodes are handled without branching
+    and all arithmetic stays in int64 (bit-exact, unlike float matvecs).
     """
 
     __slots__ = (
         "n",
         "nnz",
-        "xp",
         "indptr",
         "indices",
         "degrees",
@@ -295,8 +238,6 @@ class CsrPlane:
         "local_n_of",
         "_nonempty",
         "_starts",
-        "_slot_row_end",
-        "_max_degree",
     )
 
     def __init__(self, network: Network):
@@ -311,94 +252,34 @@ class CsrPlane:
         # it runs on" — the quantity stackable kernels must base packed keys
         # and round schedules on, because a *ragged* stacked plane holds
         # instances of different sizes (``local_n`` is then ``None``).
-        xp = self.xp
         self.local_n = self.n
-        self.local_ids = xp.arange(self.n, dtype=xp.int64)
-        self.local_n_of = xp.full(self.n, self.n, dtype=xp.int64)
+        self.local_ids = np.arange(self.n, dtype=np.int64)
+        self.local_n_of = np.full(self.n, self.n, dtype=np.int64)
 
     def _init_arrays(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        xp = plane_namespace()
-        self.xp = xp
-        if xp is not np:
-            indptr = xp.asarray(np.asarray(indptr), dtype=xp.int64)
-            indices = xp.asarray(np.asarray(indices), dtype=xp.int64)
         self.indptr = indptr
         self.indices = indices
         self.n = int(indptr.shape[0]) - 1
         self.nnz = int(indices.shape[0])
         self.degrees = self.indptr[1:] - self.indptr[:-1]
-        if xp is np:
-            self._nonempty = self.degrees > 0
-            self._starts = self.indptr[:-1][self._nonempty]
-            self._slot_row_end = None
-            self._max_degree = None
-        else:
-            # Portable-path helper tables: the row-end slot index of every
-            # slot (for the log-doubling segment max) and the widest row
-            # (its doubling depth).  Built once; the per-round reductions
-            # below touch only array-API standard operations.
-            self._nonempty = None
-            self._starts = None
-            if self.nnz:
-                slots = xp.arange(self.nnz, dtype=xp.int64)
-                rows = xp.searchsorted(self.indptr, slots, side="right") - 1
-                self._slot_row_end = xp.take(self.indptr, rows + 1)
-            else:
-                self._slot_row_end = xp.zeros(0, dtype=xp.int64)
-            self._max_degree = int(xp.max(self.degrees)) if self.n else 0
-
-    def _as_i64(self, values):
-        """Coerce slot values to an int64 array of the plane's namespace."""
-        xp = self.xp
-        values = xp.asarray(values)
-        if values.dtype != xp.int64:
-            values = xp.astype(values, xp.int64)
-        return values
+        self._nonempty = self.degrees > 0
+        self._starts = self.indptr[:-1][self._nonempty]
 
     def row_sum(self, slot_values: np.ndarray) -> np.ndarray:
         """Per-node sum of ``slot_values`` over each node's slots."""
-        if self.xp is np:
-            out = np.zeros(self.n, dtype=np.int64)
-            if self._starts.size:
-                values = np.asarray(slot_values).astype(np.int64, copy=False)
-                out[self._nonempty] = np.add.reduceat(values, self._starts)
-            return out
-        xp = self.xp
-        csum = xp.cumulative_sum(self._as_i64(slot_values), include_initial=True)
-        return xp.take(csum, self.indptr[1:]) - xp.take(csum, self.indptr[:-1])
+        out = np.zeros(self.n, dtype=np.int64)
+        if self._starts.size:
+            values = np.asarray(slot_values).astype(np.int64, copy=False)
+            out[self._nonempty] = np.add.reduceat(values, self._starts)
+        return out
 
     def row_max(self, slot_values: np.ndarray, empty: int) -> np.ndarray:
         """Per-node max of ``slot_values``; ``empty`` for isolated nodes."""
-        if self.xp is np:
-            out = np.full(self.n, empty, dtype=np.int64)
-            if self._starts.size:
-                values = np.asarray(slot_values).astype(np.int64, copy=False)
-                out[self._nonempty] = np.maximum.reduceat(values, self._starts)
-            return out
-        xp = self.xp
-        if not self.nnz:
-            return xp.full(self.n, empty, dtype=xp.int64)
-        # Log-doubling suffix sweep: after k passes, ``maxima[i]`` holds the
-        # max of slots [i, min(i + 2**k, row_end(i))), so each row's max
-        # lands on its first slot after ceil(log2(max_degree)) passes.
-        maxima = self._as_i64(slot_values)
-        slots = xp.arange(self.nnz, dtype=xp.int64)
-        offset = 1
-        while offset < self._max_degree:
-            reach = slots + offset
-            source = xp.where(reach < self.nnz, reach, self.nnz - 1)
-            shifted = xp.take(maxima, source)
-            maxima = xp.where(
-                reach < self._slot_row_end, xp.maximum(maxima, shifted), maxima
-            )
-            offset <<= 1
-        starts = self.indptr[:-1]
-        heads = xp.take(
-            maxima, xp.where(starts < self.nnz, starts, self.nnz - 1)
-        )
-        return xp.where(
-            self.degrees > 0, heads, xp.full(self.n, empty, dtype=xp.int64)
-        )
+        out = np.full(self.n, empty, dtype=np.int64)
+        if self._starts.size:
+            values = np.asarray(slot_values).astype(np.int64, copy=False)
+            out[self._nonempty] = np.maximum.reduceat(values, self._starts)
+        return out
 
     def row_any(self, slot_flags: np.ndarray) -> np.ndarray:
         """Per-node "any slot true" as a boolean array."""
@@ -406,22 +287,13 @@ class CsrPlane:
 
     def sent_slots(self, pending: Optional[PendingBroadcast]) -> np.ndarray:
         """Slot-level sender flags for one round of broadcast traffic."""
-        xp = self.xp
         if pending is None:
-            return (
-                np.zeros(self.nnz, dtype=bool)
-                if xp is np
-                else xp.zeros(self.nnz, dtype=xp.bool)
-            )
-        if xp is np:
-            return pending.mask[self.indices]
-        return xp.take(xp.asarray(pending.mask), self.indices)
+            return np.zeros(self.nnz, dtype=bool)
+        return pending.mask[self.indices]
 
     def gather(self, per_node: np.ndarray) -> np.ndarray:
         """Slot-level view of a per-node array (value of each slot's peer)."""
-        if self.xp is np:
-            return per_node[self.indices]
-        return self.xp.take(self.xp.asarray(per_node), self.indices)
+        return per_node[self.indices]
 
 
 def _as_int64(values) -> np.ndarray:

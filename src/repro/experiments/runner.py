@@ -28,7 +28,8 @@ Design points:
   malformed grid *axes* (unknown program, engine or strategy names) raise
   structured :class:`~repro.errors.UnknownProgramError` /
   :class:`~repro.errors.UnknownEngineError` /
-  :class:`~repro.errors.UnknownStrategyError` at expansion/dispatch time.
+  :class:`~repro.errors.UnknownStrategyError` when the builder expands
+  the cells or at dispatch time.
 * **Generate once, share everywhere.** All cells of one (family, n, seed)
   work item run on the same topology.  Sequentially the Network object is
   reused directly; across process workers the parent generates each graph
@@ -77,8 +78,8 @@ Design points:
 
 The typed record objects live in :mod:`repro.api.records`; the functions
 here keep returning the legacy dict shape for compatibility (it is also
-the JSON artifact format).  :func:`expand_grid` and :func:`run_cell` are
-deprecation shims for the :class:`repro.api.Experiment` builder surface.
+the JSON artifact format); grids are built with the
+:class:`repro.api.Experiment` builder.
 """
 
 from __future__ import annotations
@@ -86,7 +87,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -106,11 +106,9 @@ from repro.api.registry import (
     batchable_programs,
     program_spec,
 )
-from repro.congest.engine import available_engines
 from repro.congest.network import Network, congest_bit_budget
 from repro.errors import (
     ReproError,
-    UnknownEngineError,
     UnknownStrategyError,
     WorkerLostError,
 )
@@ -126,9 +124,7 @@ __all__ = [
     "available_programs",
     "available_strategies",
     "batchable_programs",
-    "expand_grid",
     "iter_grid_records",
-    "run_cell",
     "run_batched_group",
     "run_grid",
     "run_grid_records",
@@ -177,65 +173,6 @@ def available_strategies() -> List[str]:
     return list(STRATEGIES)
 
 
-def _expand_cells(
-    families: Sequence[str],
-    sizes: Sequence[int],
-    programs: Sequence[str] | None = None,
-    engines: Sequence[str] | None = None,
-    seed: int = 7,
-    seeds: Sequence[int] | None = None,
-) -> List[GridCell]:
-    """Cartesian expansion of the grid axes into concrete cells.
-
-    ``seeds`` sweeps multiple topologies per (family, size) — the axis the
-    ``batch`` strategy stacks; it defaults to the single ``seed``.  The
-    ``programs`` axis defaults to every registered simulation program
-    (composites such as ``cds`` must be requested by name).  Unknown
-    program or engine names fail fast with a structured error — one bad
-    axis value would otherwise poison every cell it touches.
-    """
-    programs = list(programs) if programs is not None else available_programs()
-    engines = list(engines) if engines is not None else available_engines()
-    seed_list = list(seeds) if seeds is not None else [seed]
-    for program in programs:
-        program_spec(program)  # raises UnknownProgramError on a bad name
-    registered = set(available_engines())
-    for engine in engines:
-        if engine not in registered:
-            raise UnknownEngineError(engine, available_engines())
-    return [
-        GridCell(family=f, n=n, program=p, engine=e, seed=s)
-        for f in families
-        for n in sizes
-        for p in programs
-        for e in engines
-        for s in seed_list
-    ]
-
-
-def expand_grid(
-    families: Sequence[str],
-    sizes: Sequence[int],
-    programs: Sequence[str] | None = None,
-    engines: Sequence[str] | None = None,
-    seed: int = 7,
-    seeds: Sequence[int] | None = None,
-) -> List[GridCell]:
-    """Deprecated: build grids with :class:`repro.api.Experiment` instead.
-
-    Identical behaviour to the builder's ``.cells()`` — kept as a shim so
-    existing callers and artifacts stay valid (removal planned for 2.0).
-    """
-    warnings.warn(
-        "expand_grid() is deprecated; use repro.api.Experiment(...).cells()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _expand_cells(
-        families, sizes, programs=programs, engines=engines, seed=seed, seeds=seeds
-    )
-
-
 def build_network(cell: GridCell) -> Network:
     """Generate the cell's topology and compile it into a CONGEST network.
 
@@ -278,23 +215,6 @@ def _run_cell_record(
     )
 
 
-def run_cell(
-    cell: GridCell, network: Optional[Network] = None
-) -> Dict[str, object]:
-    """Deprecated: run cells through :class:`repro.api.Experiment`.
-
-    Kept as a shim returning the legacy dict record (removal planned for
-    2.0); the typed equivalent is a :class:`~repro.api.records.RunRecord`.
-    """
-    warnings.warn(
-        "run_cell() is deprecated; use repro.api.Experiment "
-        "(records expose .to_dict() for the legacy shape)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _run_cell_record(cell, network=network).to_dict()
-
-
 def _attach_plan(
     record: RunRecord,
     meta: Optional[Dict[str, object]],
@@ -307,6 +227,27 @@ def _attach_plan(
     """
     if meta is not None:
         record.plan = dict(meta, actual_wall_s=round(wall_s, 6))
+    return record
+
+
+def _attach_fallback(
+    record: RunRecord,
+    meta: Optional[Dict[str, object]],
+    exc: BaseException,
+    wall_s: float,
+) -> RunRecord:
+    """Stamp why a record was re-run per cell (``plan["fallback"]``).
+
+    Used by both fallback routes — a stacked group taken off the plane by
+    a structured error, and a lost pool worker's unfinished cells — so
+    every re-run record carries ``{"type", "message"}`` of its cause on
+    top of any scheduler meta, at every scheduler setting.
+    """
+    record.plan = dict(
+        meta or {},
+        fallback={"type": type(exc).__name__, "message": str(exc)},
+        actual_wall_s=round(wall_s, 6),
+    )
     return record
 
 
@@ -336,8 +277,9 @@ def _iter_batched_group_records(
     per-cell execution for the instances not yet yielded (already-yielded
     records are exact solo-parity results and stay valid); the per-cell
     runs reproduce each solo outcome, including structured per-cell
-    failures.  Any other exception is a bug in the stacked path and
-    propagates instead of passing for a slow but correct run.
+    failures, and each re-run record names the error in
+    ``plan["fallback"]`` (:func:`_attach_fallback`).  Any other exception
+    is a bug in the stacked path and propagates instead of passing for a slow but correct run.
     """
     from repro.congest.engine import iter_stacked
 
@@ -347,21 +289,21 @@ def _iter_batched_group_records(
     )
     done = set()
 
-    def per_cell() -> Iterator[Tuple[int, RunRecord]]:
+    def per_cell(exc: Exception) -> Iterator[Tuple[int, RunRecord]]:
         for i, (cell, net) in enumerate(zip(cells, nets)):
             if i not in done:
                 start = time.perf_counter()
                 record = _run_cell_record(cell, network=net)
-                yield i, _attach_plan(
-                    record, plan_meta, time.perf_counter() - start
+                yield i, _attach_fallback(
+                    record, plan_meta, exc, time.perf_counter() - start
                 )
 
     try:
         for i, cell in enumerate(cells):
             if nets[i] is None:
                 nets[i] = build_network(cell)
-    except Exception:  # noqa: BLE001 - a generator error is a cell failure
-        yield from per_cell()
+    except Exception as exc:  # noqa: BLE001 - a generator error is a cell failure
+        yield from per_cell(exc)
         return
     try:
         spec = program_spec(cells[0].program)
@@ -396,8 +338,8 @@ def _iter_batched_group_records(
             # control back: time the consumer spends processing the yielded
             # record must not count as simulation wall.
             prev = time.perf_counter()
-    except ReproError:
-        yield from per_cell()
+    except ReproError as exc:
+        yield from per_cell(exc)
 
 
 def _run_batched_group_records(
@@ -722,19 +664,13 @@ def _iter_units_pool(
         ) -> Iterator[Tuple[int, RunRecord]]:
             """Finish a lost unit's unfinished cells in-process, per cell."""
             kind, indices, meta = plan[unit]
-            fallback = {
-                "type": WorkerLostError.__name__,
-                "message": str(WorkerLostError(unit, pid, exitcode)),
-            }
+            lost = WorkerLostError(unit, pid, exitcode)
             for local in sorted(pending[unit]):
                 start = time.perf_counter()
                 record = _run_cell_record(cells[indices[local]])
-                record.plan = dict(
-                    meta or {},
-                    fallback=dict(fallback),
-                    actual_wall_s=round(time.perf_counter() - start, 6),
+                yield indices[local], _attach_fallback(
+                    record, meta, lost, time.perf_counter() - start
                 )
-                yield indices[local], record
             pending[unit].clear()
 
         def worker_lost(reader) -> Iterator[Tuple[int, RunRecord]]:

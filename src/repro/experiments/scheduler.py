@@ -7,11 +7,11 @@ worker parallelism the second plane stragglers the pool while the first
 worker idles.  This module replaces the cap with a **cost model**: each
 cell's estimated execution cost is its plane width (``n``), times its
 registry round limit, times its program's widest ``MessageSpec`` wire
-size — the exact quantity :func:`repro.congest.engine.batched.plane_cost`
-defines, chosen because it is deterministic, additive across instances
-and strictly monotone in width, rounds and bits.  Groups are then split
-to a **target cost** instead of a target width, so every plane carries
-roughly the same amount of work regardless of how sizes are mixed.
+size — the quantity :func:`_plane_cost` defines, chosen because it is
+deterministic, additive across instances and strictly monotone in width,
+rounds and bits.  Groups are then split to a **target cost** instead of
+a target width, so every plane carries roughly the same amount of work
+regardless of how sizes are mixed.
 
 Three decisions, all deterministic functions of their inputs:
 
@@ -55,10 +55,10 @@ n=100 vs 69 at n=500 in the committed ``BENCH_scheduler.json`` sweep), so
 pricing by the proof limit over-weights large instances by two orders of
 magnitude and skews every cost-target split.  The estimator therefore
 clamps the recipe with an **empirical rounds table**: per program, the
-maximum rounds observed at each measured size (seeded from the committed
-benchmark, extendable at runtime via :func:`calibrate_rounds` /
-:func:`record_round_sample`), turned into a monotone envelope — running
-max over sizes, flat extrapolation beyond the sampled range — and
+maximum rounds observed at each measured size (a constant taken from
+the committed benchmark, so a plan never depends on what ran earlier in
+the process), turned into a monotone envelope — running max over sizes,
+flat extrapolation beyond the sampled range — and
 multiplied by a ×2 safety slack.  ``min(worst_case, slack × envelope)``
 keeps the worst-case recipe as the fallback (programs without samples,
 tiny sizes where the recipe is already tighter) and keeps
@@ -73,20 +73,16 @@ import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api.registry import batchable_programs, program_spec
-from repro.congest.engine.batched import plane_cost
 from repro.congest.message import FIELD_FRAMING_BITS, MESSAGE_HEADER_BITS
 
 __all__ = [
     "PlanUnit",
     "adaptive_plan",
-    "calibrate_rounds",
     "calibrated_round_limit",
     "estimate_cell_cost",
     "estimate_message_bits",
     "estimate_prologue_rounds",
     "estimate_round_limit",
-    "record_round_sample",
-    "reset_round_calibration",
     "resolve_target_cost",
 ]
 
@@ -109,6 +105,28 @@ _FALLBACK_ROUND_FACTOR = 4
 #: round of the same width; the surcharge stays additive and monotone,
 #: which is all the split logic needs.
 PROLOGUE_COST_WEIGHT = 4
+
+
+def _plane_cost(
+    local_ns: Sequence[int],
+    round_limits: Sequence[int],
+    message_bits: Sequence[int],
+) -> int:
+    """Estimated bit-volume of driving one stacked plane to completion.
+
+    The model is the plane's worst-case broadcast traffic: instance ``k``
+    contributes ``local_ns[k] * round_limits[k] * message_bits[k]`` — its
+    plane width times its round limit times its widest per-message wire
+    size.  The absolute number is an upper bound, not a prediction; what
+    matters to the planner is that the quantity is exact arithmetic
+    (deterministic plans), additive across instances (group cost = sum
+    of cell costs, so splits conserve cost), and strictly monotone in
+    each of width, rounds and bits.
+    """
+    total = 0
+    for n, rounds, bits in zip(local_ns, round_limits, message_bits):
+        total += int(n) * int(rounds) * int(bits)
+    return total
 
 
 class _SizeProxy:
@@ -139,63 +157,17 @@ _SEED_ROUND_SAMPLES: Dict[str, Dict[int, int]] = {
     "greedy": {100: 49, 200: 53, 300: 57, 500: 69, 800: 65},
 }
 
-#: Live calibration table: the seed samples plus anything recorded at
-#: runtime via :func:`record_round_sample` / :func:`calibrate_rounds`.
-_ROUND_SAMPLES: Dict[str, Dict[int, int]] = {
-    program: dict(samples) for program, samples in _SEED_ROUND_SAMPLES.items()
-}
-
-
-def record_round_sample(program: str, n: int, rounds: int) -> None:
-    """Feed one measured round count into the calibration table.
-
-    Samples only ever *raise* the stored per-size maximum — the estimate
-    must stay an upper envelope of everything observed.
-    """
-    samples = _ROUND_SAMPLES.setdefault(str(program), {})
-    n = int(n)
-    samples[n] = max(samples.get(n, 0), int(rounds))
-
-
-def calibrate_rounds(records) -> int:
-    """Calibrate from finished run records; returns samples ingested.
-
-    Accepts :class:`~repro.api.records.RunRecord` objects or legacy dict
-    records (BENCH artifacts read back from disk) — any success record
-    with a ``rounds`` metric contributes.
-    """
-    ingested = 0
-    for record in records:
-        if not isinstance(record, dict):
-            record = record.to_dict()
-        metrics = record.get("metrics")
-        if not record.get("ok") or not metrics or "rounds" not in metrics:
-            continue
-        cell = record["cell"]
-        record_round_sample(cell["program"], cell["n"], metrics["rounds"])
-        ingested += 1
-    return ingested
-
-
-def reset_round_calibration() -> None:
-    """Restore the committed seed samples (tests, fresh experiments)."""
-    _ROUND_SAMPLES.clear()
-    _ROUND_SAMPLES.update(
-        {program: dict(samples) for program, samples in _SEED_ROUND_SAMPLES.items()}
-    )
-
-
 def calibrated_round_limit(program: str, n: int) -> Optional[int]:
     """The empirical rounds estimate for planning, or ``None`` (no data).
 
-    Deterministic in the table state: the samples' running-max envelope
+    Deterministic: the committed samples' running-max envelope
     over sizes, read at the smallest sampled size >= ``n`` (flat
     extrapolation beyond the sampled range — measured rounds are
     near-flat in ``n``, which is the whole point), times the safety
     slack.  Non-decreasing in ``n`` by construction, so
     :func:`estimate_cell_cost` stays strictly monotone in width.
     """
-    samples = _ROUND_SAMPLES.get(str(program))
+    samples = _SEED_ROUND_SAMPLES.get(str(program))
     if not samples:
         return None
     envelope = 0
@@ -283,7 +255,7 @@ def estimate_cell_cost(cell) -> int:
     """
     n = int(cell.n)
     bits = estimate_message_bits(cell.program, n)
-    cost = plane_cost([n], [estimate_round_limit(cell.program, n)], [bits])
+    cost = _plane_cost([n], [estimate_round_limit(cell.program, n)], [bits])
     prologue = estimate_prologue_rounds(cell.program, n)
     if prologue:
         cost += PROLOGUE_COST_WEIGHT * n * prologue * bits

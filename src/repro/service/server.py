@@ -52,11 +52,12 @@ class ServiceServer:
         self.port = port  # replaced by the bound port after start()
         self._server: Optional[asyncio.AbstractServer] = None
         self._conn_ids = itertools.count(1)
+        self._connections: "set[asyncio.Task]" = set()
 
     async def start(self) -> "ServiceServer":
         self.service.start()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=_MAX_FRAME_BYTES
+            self._accept, self.host, self.port, limit=_MAX_FRAME_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
         return self
@@ -66,6 +67,13 @@ class ServiceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        # Reap live connections before the service stops, so shutdown with
+        # tenants connected cancels their handlers instead of leaving them
+        # for the event loop's teardown to report.
+        for task in self._connections:
+            task.cancel()
+        if self._connections:
+            await asyncio.gather(*self._connections, return_exceptions=True)
         self.service.stop()
 
     async def serve_forever(self) -> None:
@@ -74,6 +82,25 @@ class ServiceServer:
             await self._server.serve_forever()
 
     # -- connection handling ---------------------------------------------------
+
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Run one connection as a task this server owns (and reaps)."""
+        task = asyncio.ensure_future(self._handle_connection(reader, writer))
+        self._connections.add(task)
+        task.add_done_callback(self._connection_done)
+
+    def _connection_done(self, task: asyncio.Task) -> None:
+        self._connections.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            task.get_loop().call_exception_handler(
+                {
+                    "message": "unhandled exception in a connection handler",
+                    "exception": task.exception(),
+                    "task": task,
+                }
+            )
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
@@ -203,7 +230,5 @@ async def run_server(
         print(f"repro service listening on {server.host}:{server.port}", flush=True)
     try:
         await server.serve_forever()
-    except asyncio.CancelledError:  # pragma: no cover - shutdown path
-        raise
     finally:
         await server.stop()

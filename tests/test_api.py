@@ -475,11 +475,8 @@ class TestRecords:
     def test_to_dict_matches_legacy_shape(self):
         cell = GridCell(family="tree", n=12, program="bfs", engine="fast")
         [typed] = run_grid_records([cell])
-        with pytest.warns(DeprecationWarning):
-            from repro.experiments.runner import run_cell
-
-            legacy = run_cell(cell)
-        assert _strip([typed.to_dict()]) == _strip([legacy])
+        legacy = run_grid([cell])
+        assert _strip([typed.to_dict()]) == _strip(legacy)
 
     def test_sweep_result_iterates_in_cell_order(self):
         sweep = SweepResult(
@@ -521,20 +518,6 @@ class TestRecords:
 
 
 class TestDeprecationShims:
-    def test_expand_grid_warns_but_works(self):
-        from repro.experiments.runner import expand_grid
-
-        with pytest.warns(DeprecationWarning, match="Experiment"):
-            cells = expand_grid(("tree",), (12,), programs=("bfs",), engines=("fast",))
-        assert cells == Experiment("bfs").on("tree").sizes(12).engine("fast").cells()
-
-    def test_run_cell_warns_but_works(self):
-        from repro.experiments.runner import run_cell
-
-        with pytest.warns(DeprecationWarning, match="Experiment"):
-            rec = run_cell(GridCell(family="tree", n=12, program="bfs", engine="fast"))
-        assert rec["ok"] is True and rec["metrics"]["reached"] == 12
-
     def test_builder_surface_does_not_warn(self, recwarn):
         import warnings
 

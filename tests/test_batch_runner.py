@@ -8,13 +8,13 @@ import json
 import pytest
 
 
+from repro.api import Experiment
+from repro.congest.engine import available_engines
 from repro.experiments.harness import engine_grid_cells, engine_grid_report
 from repro.experiments.runner import (
     GridCell,
     available_programs,
-    expand_grid,
     results_payload,
-    run_cell,
     run_grid,
     summarize_results,
     write_results,
@@ -28,29 +28,26 @@ def _strip_walls(results):
     return stripped
 
 
-SMALL_GRID = expand_grid(
-    families=("tree", "gnp"),
-    sizes=(16,),
-    programs=("bfs",),
-    engines=("reference", "fast"),
-    seed=3,
+SMALL_GRID = (
+    Experiment("bfs").on("tree", "gnp").sizes(16).engines("reference", "fast")
+    .seed(3).cells()
 )
 
 
 class TestExpandGrid:
     def test_cartesian_product(self):
-        cells = expand_grid(
-            families=("gnp", "tree"),
-            sizes=(20, 40),
-            programs=("bfs", "greedy"),
-            engines=("reference", "fast"),
+        cells = (
+            Experiment("bfs", "greedy").on("gnp", "tree").sizes(20, 40)
+            .engines("reference", "fast").cells()
         )
         assert len(cells) == 2 * 2 * 2 * 2
         assert len(set(cells)) == len(cells)
         assert all(isinstance(c, GridCell) for c in cells)
 
     def test_defaults_cover_all_programs_and_engines(self):
-        cells = expand_grid(families=("tree",), sizes=(12,))
+        cells = (
+            Experiment().on("tree").sizes(12).engines(*available_engines()).cells()
+        )
         programs = {c.program for c in cells}
         engines = {c.engine for c in cells}
         assert programs == set(available_programs())
@@ -62,9 +59,11 @@ class TestExpandGrid:
 
 
 class TestRunCell:
+    """Per-cell records, success and structured failure, via ``run_grid``."""
+
     def test_success_record(self):
         cell = GridCell(family="tree", n=16, program="bfs", engine="fast", seed=3)
-        rec = run_cell(cell)
+        [rec] = run_grid([cell])
         assert rec["ok"] is True
         assert rec["metrics"]["rounds"] >= 1
         assert rec["metrics"]["all_halted"] is True
@@ -75,19 +74,19 @@ class TestRunCell:
         }
 
     def test_unknown_family_is_structured_error(self):
-        rec = run_cell(GridCell(family="nope", n=16, program="bfs", engine="fast"))
+        [rec] = run_grid([GridCell(family="nope", n=16, program="bfs", engine="fast")])
         assert rec["ok"] is False
         assert rec["error"]["type"] == "GraphError"
         assert "nope" in rec["error"]["message"]
 
     def test_unknown_program_is_structured_error(self):
-        rec = run_cell(GridCell(family="tree", n=16, program="boom", engine="fast"))
+        [rec] = run_grid([GridCell(family="tree", n=16, program="boom", engine="fast")])
         assert rec["ok"] is False
         assert rec["error"]["type"] == "UnknownProgramError"
         assert "boom" in rec["error"]["message"]
 
     def test_unknown_engine_is_structured_error(self):
-        rec = run_cell(GridCell(family="tree", n=16, program="bfs", engine="warp"))
+        [rec] = run_grid([GridCell(family="tree", n=16, program="bfs", engine="warp")])
         assert rec["ok"] is False
         assert rec["error"]["type"] == "UnknownEngineError"
         assert "warp" in rec["error"]["message"]
@@ -183,12 +182,9 @@ class TestEngineGridReport:
 class TestBatchStrategy:
     """strategy="batch" is an execution detail: records never change."""
 
-    SWEEP = expand_grid(
-        families=("gnp", "tree"),
-        sizes=(24,),
-        programs=("greedy", "color-reduction", "bfs"),
-        engines=("vector", "fast"),
-        seeds=(0, 1, 2, 3),
+    SWEEP = (
+        Experiment("greedy", "color-reduction", "bfs").on("gnp", "tree")
+        .sizes(24).engines("vector", "fast").seeds((0, 1, 2, 3)).cells()
     )
 
     @staticmethod
@@ -200,10 +196,7 @@ class TestBatchStrategy:
         return stripped
 
     def test_seeds_axis_expansion(self):
-        cells = expand_grid(
-            families=("gnp",), sizes=(16,), programs=("bfs",),
-            engines=("fast",), seeds=(1, 2, 3),
-        )
+        cells = Experiment("bfs").on("gnp").sizes(16).engine("fast").seeds((1, 2, 3)).cells()
         assert [c.seed for c in cells] == [1, 2, 3]
         assert len({c.topology_key for c in cells}) == 3
 
@@ -285,9 +278,42 @@ class TestBatchStrategy:
             .seeds([0, 1]).cells()
         )
         batch = run_grid(cells, strategy="batch")
+        # The re-run records say why the group left the stacked path.
+        reasons = [rec.pop("plan")["fallback"] for rec in batch]
+        assert [r["type"] for r in reasons] == ["NetworkXError"] * 2
         assert self._strip(batch) == self._strip(run_grid(cells, strategy="cell"))
         assert [r["ok"] for r in batch] == [False, False]
         assert batch[0]["error"]["type"] == "NetworkXError"
+
+    def test_stacked_fallback_records_carry_the_reason(self, monkeypatch):
+        """A structured error from the stacked run re-runs the group per
+        cell; every re-run record names the error in ``plan.fallback``,
+        with metrics equal to the per-cell run."""
+        import repro.congest.engine as engine
+        from repro.errors import BatchEligibilityError
+        from repro.experiments.harness import comparable_records
+
+        cells = (
+            Experiment("greedy").on("gnp").sizes(24, 40).engine("vector")
+            .seeds([0, 1]).cells()
+        )
+        per_cell = run_grid(cells, strategy="cell")
+        stacked = run_grid(cells, strategy="batch")
+        assert all("batch" in rec and "plan" not in rec for rec in stacked)
+
+        def refuse(*args, **kwargs):
+            raise BatchEligibilityError("refused for the test")
+
+        monkeypatch.setattr(engine, "iter_stacked", refuse)
+        fallback = run_grid(cells, strategy="batch")
+        assert [rec["plan"]["fallback"] for rec in fallback] == [
+            {"type": "BatchEligibilityError", "message": "refused for the test"}
+        ] * len(cells)
+        assert all("batch" not in rec for rec in fallback)
+        assert [rec["metrics"] for rec in fallback] == [
+            rec["metrics"] for rec in per_cell
+        ]
+        assert comparable_records(fallback) == comparable_records(per_cell)
 
     def test_kernel_bug_in_stacked_group_propagates(self, monkeypatch):
         """Only structured errors reroute a stacked group per cell: a

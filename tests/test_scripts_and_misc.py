@@ -104,8 +104,20 @@ def test_errors_hierarchy():
 
 
 def test_package_version_and_api():
+    import importlib
+    import pkgutil
+
     import repro
 
-    assert repro.__version__ == "1.1.0"
-    for name in repro.__all__:
-        assert hasattr(repro, name), f"__all__ exports missing {name}"
+    assert repro.__version__ == "2.0.0"
+    packages = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
+    assert len(packages) > 20
+    for package in packages:
+        for name in package.__all__:
+            assert hasattr(package, name), (
+                f"{package.__name__}.__all__ exports missing {name}"
+            )

@@ -7,7 +7,8 @@ import pytest
 
 from repro.congest.network import Network
 from repro.errors import GraphError, UnknownEngineError, UnknownProgramError
-from repro.experiments.runner import GridCell, expand_grid, run_grid
+from repro.api import Experiment
+from repro.experiments.runner import GridCell, run_grid
 from repro.experiments.sharedmem import SharedTopology, attach_network
 from repro.graphs.generators import gnp_graph, star_graph
 
@@ -126,13 +127,15 @@ class TestSharedTopology:
 class TestGridExpansionValidation:
     def test_unknown_engine_raises_structured(self):
         with pytest.raises(UnknownEngineError) as exc:
-            expand_grid(("tree",), (16,), engines=("warp-drive",))
+            Experiment("bfs").on("tree").sizes(16).engine("warp-drive").cells()
+        assert exc.value.name == "warp-drive"
         assert "warp-drive" in str(exc.value)
         assert "fast" in str(exc.value)
 
     def test_unknown_program_raises_structured(self):
         with pytest.raises(UnknownProgramError) as exc:
-            expand_grid(("tree",), (16,), programs=("quicksort",))
+            Experiment("bfs", "quicksort").on("tree").sizes(16).cells()
+        assert exc.value.name == "quicksort"
         assert "quicksort" in str(exc.value)
 
 
