@@ -281,6 +281,7 @@ def cmd_grid(args) -> int:
 
 def cmd_serve(args) -> int:
     import asyncio
+    import signal
 
     from repro.service import ServiceConfig, run_server
 
@@ -292,9 +293,20 @@ def cmd_serve(args) -> int:
         max_inflight_per_client=args.max_inflight,
         oracle_cache_path=args.oracle_cache or None,
     )
+
+    async def serve() -> None:
+        # Ctrl-C cancels the serving task, so the server's own shutdown reaps
+        # the tenants' connections.  asyncio.run does this itself only from
+        # Python 3.11; on 3.10 the KeyboardInterrupt would surface inside
+        # whichever connection handler happened to be running.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGINT, asyncio.current_task().cancel
+        )
+        await run_server(host=args.host, port=args.port, config=config)
+
     try:
-        asyncio.run(run_server(host=args.host, port=args.port, config=config))
-    except KeyboardInterrupt:
+        asyncio.run(serve())
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     return 0
 

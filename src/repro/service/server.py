@@ -63,23 +63,31 @@ class ServiceServer:
         return self
 
     async def stop(self) -> None:
+        # Reap live connections before waiting on the listener: since
+        # Python 3.12, ``Server.wait_closed()`` also waits for every accepted
+        # connection to drop, so tenants blocked in ``readline()`` would
+        # hang it.  Cancelling their handlers here (before the service
+        # stops) also keeps shutdown free of event-loop teardown reports.
         if self._server is not None:
             self._server.close()
+        connections = list(self._connections)
+        for task in connections:
+            task.cancel()
+        if connections:
+            await asyncio.gather(*connections, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
-        # Reap live connections before the service stops, so shutdown with
-        # tenants connected cancels their handlers instead of leaving them
-        # for the event loop's teardown to report.
-        for task in self._connections:
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
         self.service.stop()
 
     async def serve_forever(self) -> None:
+        """Serve until cancelled; the caller's ``stop()`` then shuts down.
+
+        Not ``Server.serve_forever()``: on cancel that awaits
+        ``wait_closed()`` before ``stop()`` can reap the connections.
+        """
         assert self._server is not None, "start() first"
-        async with self._server:
-            await self._server.serve_forever()
+        await asyncio.get_running_loop().create_future()
 
     # -- connection handling ---------------------------------------------------
 
@@ -89,18 +97,7 @@ class ServiceServer:
         """Run one connection as a task this server owns (and reaps)."""
         task = asyncio.ensure_future(self._handle_connection(reader, writer))
         self._connections.add(task)
-        task.add_done_callback(self._connection_done)
-
-    def _connection_done(self, task: asyncio.Task) -> None:
-        self._connections.discard(task)
-        if not task.cancelled() and task.exception() is not None:
-            task.get_loop().call_exception_handler(
-                {
-                    "message": "unhandled exception in a connection handler",
-                    "exception": task.exception(),
-                    "task": task,
-                }
-            )
+        task.add_done_callback(self._connections.discard)
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

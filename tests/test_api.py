@@ -1,4 +1,4 @@
-"""The unified experiment API: registry, builder, records, streaming, shims."""
+"""The unified experiment API: registry, builder, records, streaming."""
 
 from __future__ import annotations
 
@@ -473,10 +473,36 @@ class TestRecords:
         assert RunRecord.from_dict(failure.to_dict()) == failure
 
     def test_to_dict_matches_legacy_shape(self):
+        """The dict record keeps the 1.x shape: exactly these keys and types."""
         cell = GridCell(family="tree", n=12, program="bfs", engine="fast")
-        [typed] = run_grid_records([cell])
-        legacy = run_grid([cell])
-        assert _strip([typed.to_dict()]) == _strip(legacy)
+        [ok] = run_grid([cell])
+        assert list(ok) == ["cell", "key", "ok", "wall_s", "metrics"]
+        assert ok["cell"] == {
+            "family": "tree",
+            "n": 12,
+            "program": "bfs",
+            "engine": "fast",
+            "seed": cell.seed,
+        }
+        assert ok["key"] == cell.key and ok["ok"] is True
+        assert isinstance(ok["wall_s"], float)
+        assert set(ok["metrics"]) == {
+            "n",
+            "max_degree",
+            "rounds",
+            "total_messages",
+            "total_bits",
+            "max_message_bits",
+            "all_halted",
+            "reached",
+        }
+        assert ok["metrics"]["n"] == 12 and ok["metrics"]["all_halted"] is True
+        bad = GridCell(family="nope", n=12, program="bfs", engine="fast")
+        [failed] = run_grid([bad])
+        assert list(failed) == ["cell", "key", "ok", "error"]
+        assert failed["ok"] is False
+        assert set(failed["error"]) == {"type", "message"}
+        assert failed["error"]["type"] == "GraphError"
 
     def test_sweep_result_iterates_in_cell_order(self):
         sweep = SweepResult(

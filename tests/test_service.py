@@ -572,11 +572,9 @@ class TestServeShutdown:
                 )
                 assert b'"hello"' in sock.recv(4096)
                 tenants.append(sock)
-            cell = {"family": "gnp", "n": 400, "program": "lemma310",
-                    "engine": "vector", "seed": 1}
+            cell = {"family": "gnp", "n": 400, "program": "lemma310", "engine": "vector", "seed": 1}
             tenants[0].sendall(
-                (json.dumps({"type": "submit", "id": 1, "cells": [cell]}) + "\n")
-                .encode()
+                (json.dumps({"type": "submit", "id": 1, "cells": [cell]}) + "\n").encode()
             )
             assert b'"accepted"' in tenants[0].recv(4096)
             proc.send_signal(signal.SIGINT)
